@@ -35,21 +35,15 @@ Package layout
 ============================  =================================================
 """
 
-from .core.jets import JetsConfig, Simulation, StandaloneReport
-from .core.tasklist import JobSpec, TaskList
-from .cluster.machine import breadboard, eureka, generic_cluster, surveyor
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "JetsConfig",
-    "JobSpec",
-    "Simulation",
-    "StandaloneReport",
-    "TaskList",
-    "breadboard",
-    "eureka",
-    "generic_cluster",
-    "surveyor",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".core.jets": ("JetsConfig", "Simulation", "StandaloneReport"),
+    ".core.tasklist": ("JobSpec", "TaskList"),
+    ".cluster.machine": (
+        "breadboard", "eureka", "generic_cluster", "surveyor",
+    ),
+})
+__all__.append("__version__")

@@ -428,7 +428,7 @@ class JetsDispatcher:
     ) -> None:
         # Serial-job completion is recorded here (MPI completion arrives via
         # the mpiexec controller); both paths release the worker binding.
-        self.aggregator.release(_job_key(job_id), view.worker_id)
+        self.aggregator.release(_JobKey(job_id), view.worker_id)
         pending = self._mpi_pending.get(job_id)
         if pending is not None:
             pending.discard(view.worker_id)
@@ -562,7 +562,7 @@ class JetsDispatcher:
         )
         self._serial_running.pop(job.job_id, None)
         self._serial_owner.pop(job.job_id, None)
-        self.aggregator.release(_job_key(job.job_id), view.worker_id)
+        self.aggregator.release(_JobKey(job.job_id), view.worker_id)
         if self.aggregator.get(view.worker_id) is view and not view.socket.closed:
             try:
                 yield from self._service()
@@ -854,12 +854,10 @@ class JetsDispatcher:
             self.drained.succeed()
 
 
-def _job_key(job_id: str) -> JobSpec:
+class _JobKey:
     """Adapter: aggregator.release only reads ``job_id``."""
 
-    class _K:
-        pass
+    __slots__ = ("job_id",)
 
-    k = _K()
-    k.job_id = job_id  # type: ignore[attr-defined]
-    return k  # type: ignore[return-value]
+    def __init__(self, job_id: str):
+        self.job_id = job_id

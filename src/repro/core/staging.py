@@ -43,14 +43,13 @@ class StagingManager:
         self.files.append(image)
 
     def flatten(self) -> list[ExecutableImage]:
-        """The stage list with library dependencies expanded."""
+        """The stage list with library dependencies expanded (pre-order)."""
         out: list[ExecutableImage] = []
-        def walk(img: ExecutableImage) -> None:
+        stack = self.files[::-1]
+        while stack:
+            img = stack.pop()
             out.append(img)
-            for lib in img.libraries:
-                walk(lib)
-        for img in self.files:
-            walk(img)
+            stack.extend(reversed(img.libraries))
         return out
 
     def stage_to(self, node: Node) -> Generator:

@@ -1,26 +1,14 @@
 """Metrics: Eq. (1) utilization, timelines, summary statistics."""
 
-from .stats import Summary, ascii_series, ascii_table, histogram, summarize
-from .timeline import (
-    available_workers_series,
-    gauge_to_arrays,
-    running_jobs_series,
-    sample_series,
-    step_series,
-)
-from .utilization import UtilizationLedger, equation1
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Summary",
-    "UtilizationLedger",
-    "ascii_series",
-    "ascii_table",
-    "available_workers_series",
-    "equation1",
-    "gauge_to_arrays",
-    "histogram",
-    "running_jobs_series",
-    "sample_series",
-    "step_series",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".stats": (
+        "Summary", "ascii_series", "ascii_table", "histogram", "summarize",
+    ),
+    ".timeline": (
+        "available_workers_series", "gauge_to_arrays",
+        "running_jobs_series", "sample_series", "step_series",
+    ),
+    ".utilization": ("UtilizationLedger", "equation1"),
+})

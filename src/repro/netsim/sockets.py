@@ -167,12 +167,18 @@ class Socket:
         # One callback per queued item: popping the head preserves send
         # order under any tie permutation of the delivery timeouts.
         item = self._pending.popleft()
-        if self._closed:
-            return
         if item is _CLOSE:
-            self._closed = True
-            self._inbox.put(_CLOSE)
-        else:
+            # Only a closed peer sends _CLOSE, so both ends are closed
+            # now: unlink the pair, which would otherwise keep both
+            # inboxes, their pending gets and every process blocked on
+            # them alive until the cyclic collector runs.
+            peer = self._peer
+            if peer is not None:
+                peer._peer = self._peer = None
+            if not self._closed:
+                self._closed = True
+                self._inbox.put(_CLOSE)
+        elif not self._closed:
             self._inbox.put(item)
 
     def recv(self) -> Event:

@@ -18,37 +18,21 @@ obs.session(trace_out="run.jsonl", report=True):`` captures every
 platform built inside the block and exports on exit.
 """
 
-from .export import read_jsonl, to_chrome_trace, to_jsonl
-from .metrics import Histogram, Registry, quantile
-from .report import RunReport, render_report
-from .session import ObsSession, active, session
-from .spans import (
-    AttemptSpan,
-    JobSpan,
-    ProxySpan,
-    RunSpans,
-    Transition,
-    WorkerSpan,
-    build_spans,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttemptSpan",
-    "Histogram",
-    "JobSpan",
-    "ObsSession",
-    "ProxySpan",
-    "Registry",
-    "RunReport",
-    "RunSpans",
-    "Transition",
-    "WorkerSpan",
-    "active",
-    "build_spans",
-    "quantile",
-    "read_jsonl",
-    "render_report",
-    "session",
-    "to_chrome_trace",
-    "to_jsonl",
-]
+# ``session`` is both a submodule and a function: bound eagerly so that
+# ``from repro.obs import session`` always gives the function (see
+# :mod:`repro._lazy`).  The module itself is light; it is on every run
+# path through :class:`~repro.cluster.platform.Platform`.
+from .session import ObsSession, active, session
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".export": ("read_jsonl", "to_chrome_trace", "to_jsonl"),
+    ".metrics": ("Histogram", "Registry", "quantile"),
+    ".report": ("RunReport", "render_report"),
+    ".session": ("ObsSession", "active", "session"),
+    ".spans": (
+        "AttemptSpan", "JobSpan", "ProxySpan", "RunSpans", "Transition",
+        "WorkerSpan", "build_spans",
+    ),
+})

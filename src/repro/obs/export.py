@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from ..simkernel import Trace, TraceRecord
 from ..simkernel.monitor import record_line, sanitize, trailer_line
-from .spans import RunSpans, build_spans
+
+if TYPE_CHECKING:  # the span fold loads only for Chrome output
+    from .spans import RunSpans
 
 __all__ = [
     "to_jsonl",
@@ -393,6 +395,8 @@ def counter_series(
     mirror records present in ``source`` (a trace sink or record
     iterable; a :class:`RunSpans` or None contributes nothing).
     """
+    from .spans import RunSpans
+
     series: dict[str, list[tuple[float, float]]] = {}
     if registry is not None:
         series.update(registry.gauge_series())
@@ -460,6 +464,8 @@ def to_chrome_trace(
     multi-run sessions; a registry contributes its gauges as Perfetto
     counter tracks (:func:`counter_events`).
     """
+    from .spans import RunSpans, build_spans
+
     if isinstance(sources, (Trace, RunSpans)) or (
         sources and isinstance(sources, list)
         and isinstance(sources[0], TraceRecord)

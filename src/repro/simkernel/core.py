@@ -440,12 +440,15 @@ class Process(Event):
                 callbacks.append(self._presume)
                 break
         except StopIteration as stop:
-            self._target = None
+            # The generator is done: drop the bound-method caches
+            # (_presume refers back to self) so a finished process dies
+            # by refcount rather than waiting for the cyclic collector.
+            self._target = self._presume = self._gsend = None
             self._ok = True
             self._value = stop.value
             self.env._schedule(self, NORMAL)
         except BaseException as exc:
-            self._target = None
+            self._target = self._presume = self._gsend = None
             self._ok = False
             self._value = exc
             self._defused = False
@@ -455,7 +458,12 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Waits for a set of events per an evaluation function."""
+    """Waits for a set of events per an evaluation function.
+
+    Once triggered the condition forgets its event list: an event that
+    has not fired still holds :meth:`_on_event` (and so the condition)
+    in its callbacks, and the list would close that loop.
+    """
 
     __slots__ = ("_events", "_evaluate", "_count")
 
@@ -484,6 +492,7 @@ class Condition(Event):
             event._defused = True
             self._ok = False
             self._value = event._value
+            self._events = None
             self.env._schedule(self, NORMAL)
             return
         self._count += 1
@@ -492,6 +501,7 @@ class Condition(Event):
             self._value = {
                 ev: ev._value for ev in self._events if ev.triggered and ev._ok
             }
+            self._events = None
             self.env._schedule(self, NORMAL)
 
 

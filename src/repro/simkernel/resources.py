@@ -111,7 +111,9 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
             self._users.add(req)
-            req.succeed(req)
+            # Valueless: a request holding itself as its value would be
+            # a reference cycle per grant.
+            req.succeed()
 
 
 class StoreGet(Event):
