@@ -16,6 +16,8 @@ based on availability.  Command words are resolved to simulated
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -78,6 +80,25 @@ class JobSpec:
     stage_out_bytes: int = 0
 
     def __post_init__(self) -> None:
+        # The run journal writes these fields into JSON verbatim, so a
+        # bool (``True``), a non-finite float or a non-number would
+        # produce a line ``jets resume`` cannot read back.  Plain ints
+        # skip the slow ABC checks: JobSpecs are built by the thousand.
+        if not (
+            type(self.nodes) is type(self.ppn) is type(self.max_attempts)
+            is type(self.priority) is type(self.attempts) is int
+        ):
+            for name in (
+                "nodes", "ppn", "max_attempts", "priority", "attempts"
+            ):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral
+                ):
+                    raise TaskListError(
+                        f"{self.job_id}: {name} must be an integer, "
+                        f"got {value!r}"
+                    )
         if self.nodes <= 0:
             raise TaskListError(f"{self.job_id}: nodes must be positive")
         if self.ppn <= 0:
@@ -86,15 +107,31 @@ class JobSpec:
             raise TaskListError(
                 f"{self.job_id}: serial jobs use exactly one process"
             )
+        self.duration_hint = _finite(self.job_id, self.duration_hint)
         if self.duration_hint == 0.0:
-            self.duration_hint = getattr(
-                self.program, "nominal_duration", 0.0
+            self.duration_hint = _finite(
+                self.job_id, getattr(self.program, "nominal_duration", 0.0)
             )
 
     @property
     def world_size(self) -> int:
         """Total MPI process count."""
         return self.nodes * self.ppn
+
+
+def _finite(job_id: str, hint):
+    """``hint`` as a finite int or float duration, else TaskListError."""
+    if type(hint) is not float and type(hint) is not int:
+        if isinstance(hint, bool) or not isinstance(hint, numbers.Real):
+            raise TaskListError(
+                f"{job_id}: duration_hint must be a number, got {hint!r}"
+            )
+        hint = float(hint)  # a numpy scalar's repr is not a JSON number
+    if not math.isfinite(hint):
+        raise TaskListError(
+            f"{job_id}: duration_hint must be finite, got {hint!r}"
+        )
+    return hint
 
 
 #: A registry maps a command word to ``factory(args) -> MpiProgram``.

@@ -238,12 +238,14 @@ class WorkerAgent:
 
     def _spawn(self, gen: Generator, job_id: str, mpi: bool = False) -> None:
         proc = self.env.process(gen, name=f"w{self.worker_id}-task")
-        self._children.append(proc)
+        # Prune on every spawn: a finished child is never interrupted,
+        # so keeping it would only pin its process object in memory.
+        children = [c for c in self._children if c.is_alive]
+        children.append(proc)
+        self._children = children
         self._running[job_id] = proc
         if mpi:
             self._running_mpi.add(job_id)
-        if len(self._children) > 2 * self.slots:
-            self._children = [c for c in self._children if c.is_alive]
 
     def _cancel(self, job_id: str, mpi: bool) -> Generator:
         """Handle a dispatcher ``cancel`` for ``job_id``.

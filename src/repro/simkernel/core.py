@@ -347,8 +347,7 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        active = self.env._active_process
-        if active is not None and active._generator is self._generator:
+        if self.env._active_process is self:
             raise SimulationError("a process cannot interrupt itself")
         bridge = Event(self.env)
         bridge._ok = False
@@ -442,13 +441,17 @@ class Process(Event):
         except StopIteration as stop:
             # The generator is done: drop the bound-method caches
             # (_presume refers back to self) so a finished process dies
-            # by refcount rather than waiting for the cyclic collector.
+            # by refcount rather than waiting for the cyclic collector,
+            # and the spent generator, which a caller still holding the
+            # process (a worker's child list) would otherwise keep.
             self._target = self._presume = self._gsend = None
+            self._generator = None
             self._ok = True
             self._value = stop.value
             self.env._schedule(self, NORMAL)
         except BaseException as exc:
             self._target = self._presume = self._gsend = None
+            self._generator = None
             self._ok = False
             self._value = exc
             self._defused = False
@@ -462,7 +465,12 @@ class Condition(Event):
 
     Once triggered the condition forgets its event list: an event that
     has not fired still holds :meth:`_on_event` (and so the condition)
-    in its callbacks, and the list would close that loop.
+    in its callbacks, and the list would close that loop.  It also
+    unhooks from every event already bound to succeed — a timeout, above
+    all: a wire-up watchdog that lost its race stays scheduled until its
+    deadline and would otherwise keep this condition, its value dict and
+    the winning event alive until then.  Events that may still fail keep
+    the hook, which defuses their failure.
     """
 
     __slots__ = ("_events", "_evaluate", "_count")
@@ -478,13 +486,13 @@ class Condition(Event):
             env._schedule(self, NORMAL)
             return
         for ev in self._events:
-            if ev.processed:
+            if ev.callbacks is None:
                 self._on_event(ev)
-            else:
+            elif self._value is PENDING or not _bound_to_succeed(ev):
                 ev._add_callback(self._on_event)
 
     def _on_event(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             if not event._ok:
                 event._defused = True
             return
@@ -492,17 +500,34 @@ class Condition(Event):
             event._defused = True
             self._ok = False
             self._value = event._value
-            self._events = None
-            self.env._schedule(self, NORMAL)
-            return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
+        else:
+            self._count += 1
+            if not self._evaluate(self._events, self._count):
+                return
             self._ok = True
             self._value = {
                 ev: ev._value for ev in self._events if ev.triggered and ev._ok
             }
-            self._events = None
-            self.env._schedule(self, NORMAL)
+        on_event = self._on_event
+        for ev in self._events:
+            callbacks = ev.callbacks
+            if callbacks and _bound_to_succeed(ev) and on_event in callbacks:
+                callbacks.remove(on_event)
+        self._events = None
+        self.env._schedule(self, NORMAL)
+
+
+def _bound_to_succeed(event: Event) -> bool:
+    """True once ``event`` has succeeded: it can no longer fail."""
+    return event._ok and event._value is not PENDING
+
+
+def _all_fired(events: list, count: int) -> bool:
+    return count == len(events)
+
+
+def _any_fired(events: list, count: int) -> bool:
+    return count >= 1
 
 
 class AllOf(Condition):
@@ -511,7 +536,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda evs, count: count == len(evs))
+        super().__init__(env, events, _all_fired)
 
 
 class AnyOf(Condition):
@@ -520,7 +545,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda evs, count: count >= 1)
+        super().__init__(env, events, _any_fired)
 
 
 class SchedulingOrder:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -499,12 +500,18 @@ class Gauge:
 
     Records ``(time, value)`` breakpoints; integration gives time-weighted
     means, which is exactly the "load level" plotted in the paper's Fig. 13.
+    The breakpoints live in two ``array('d')`` columns, 16 bytes per
+    breakpoint instead of an 88-byte ``(t, v)`` tuple: a long run keeps
+    one for every change of the platform's busy-core count.
     """
+
+    __slots__ = ("env", "value", "_times", "_values")
 
     def __init__(self, env: Environment, initial: float = 0.0):
         self.env = env
         self.value = float(initial)
-        self.samples: list[tuple[float, float]] = [(env.now, self.value)]
+        self._times = array("d", (env.now,))
+        self._values = array("d", (self.value,))
 
     def set(self, value: float) -> None:
         """Set the gauge to an absolute value at the current time.
@@ -514,12 +521,13 @@ class Gauge:
         and repeated :meth:`add` calls at a single sim time would
         otherwise bloat :meth:`series` and slow :meth:`integral`.
         """
-        self.value = float(value)
+        self.value = value = float(value)
         now = self.env.now
-        if self.samples and self.samples[-1][0] == now:
-            self.samples[-1] = (now, self.value)
+        if self._times[-1] == now:
+            self._values[-1] = value
         else:
-            self.samples.append((now, self.value))
+            self._times.append(now)
+            self._values.append(value)
 
     def add(self, delta: float) -> None:
         """Adjust the gauge by ``delta`` at the current time."""
@@ -527,7 +535,7 @@ class Gauge:
 
     def series(self) -> list[tuple[float, float]]:
         """The recorded (time, value) breakpoints."""
-        return list(self.samples)
+        return list(zip(self._times, self._values))
 
     def integral(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Integrate the step function over [start, end] (defaults: full span).
@@ -538,43 +546,44 @@ class Gauge:
         in the scan formulation, so skipping them leaves the float
         summation order — and therefore the result bits — unchanged.
         """
-        samples = self.samples
-        if not samples:
-            return 0.0
-        t0 = samples[0][0] if start is None else start
+        times = self._times
+        values = self._values
+        t0 = times[0] if start is None else start
         t1 = self.env.now if end is None else end
         if t1 <= t0:
             return 0.0
         # Last breakpoint at/before t0 .. first breakpoint at/after t1.
-        lo = bisect_right(samples, (t0, float("inf"))) - 1
+        lo = bisect_right(times, t0) - 1
         if lo < 0:
             lo = 0
-        hi = bisect_left(samples, (t1, float("-inf")))
+        last = len(times) - 1
+        hi = min(bisect_left(times, t1), last)
         total = 0.0
-        last = len(samples) - 1
-        for i in range(lo, min(hi, last)):
-            ta, va = samples[i]
+        # Slices, not indexing, so each breakpoint is boxed once: segment
+        # [ta, tb) pairs each value with the next breakpoint's time.
+        ta = times[lo]
+        for va, tb in zip(values[lo:hi], times[lo + 1:hi + 1]):
             seg_lo = ta if ta > t0 else t0
-            tb = samples[i + 1][0]
             seg_hi = tb if tb < t1 else t1
             if seg_hi > seg_lo:
                 total += va * (seg_hi - seg_lo)
-        ta, va = samples[last]
+            ta = tb
+        ta = times[last]
         seg_lo = ta if ta > t0 else t0
         if t1 > seg_lo:
-            total += va * (t1 - seg_lo)
+            total += values[last] * (t1 - seg_lo)
         return total
 
     def mean(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Time-weighted mean over [start, end]."""
-        t0 = self.samples[0][0] if start is None else start
+        t0 = self._times[0] if start is None else start
         t1 = self.env.now if end is None else end
         span = t1 - t0
         return self.integral(start, end) / span if span > 0 else 0.0
 
     def max(self) -> float:
         """Maximum recorded value."""
-        return max(v for _t, v in self.samples)
+        return max(self._values)
 
 
 @dataclass

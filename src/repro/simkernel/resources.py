@@ -12,7 +12,6 @@ Three primitives cover every synchronization pattern in the JETS stack:
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Optional
 
 from .core import PENDING, Environment, Event, SimulationError
@@ -68,12 +67,14 @@ class Resource:
     cancels it.
     """
 
+    __slots__ = ("env", "capacity", "_queue", "_users")
+
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.env = env
         self.capacity = capacity
-        self._queue: deque[Request] = deque()
+        self._queue: list[Request] = []
         self._users: set[Request] = set()
 
     @property
@@ -109,7 +110,7 @@ class Resource:
 
     def _grant(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            req = self._queue.popleft()
+            req = self._queue.pop(0)
             self._users.add(req)
             # Valueless: a request holding itself as its value would be
             # a reference cycle per grant.
@@ -131,16 +132,24 @@ class Store:
 
     ``put(item)`` succeeds immediately when below capacity; ``get()``
     returns an event that fires with the next item.
+
+    The queues are plain lists, not deques: thousands of stores are live
+    at once (one per mailbox and socket inbox) and almost all of them sit
+    empty, where a list costs 56 bytes and a deque its eager 64-slot
+    block (~760 bytes).  No queue in the stack grows past a few dozen
+    items, so ``pop(0)`` costs no more than ``popleft()`` (DESIGN.md §18).
     """
+
+    __slots__ = ("env", "capacity", "_items", "_getters", "_putters")
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.env = env
         self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[StoreGet] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
+        self._items: list[Any] = []
+        self._getters: list[StoreGet] = []
+        self._putters: list[tuple[Event, Any]] = []
 
     @property
     def items(self) -> list:
@@ -166,7 +175,7 @@ class Store:
             self._insert(item)
             ev.succeed()
             if self._getters:
-                self._getters.popleft().succeed(self._pop())
+                self._getters.pop(0).succeed(self._pop())
         else:
             self._putters.append((ev, item))
             self._dispatch()
@@ -202,13 +211,13 @@ class Store:
         # getters freed capacity a blocked putter was waiting for.
         while True:
             while self._putters and len(self._items) < self.capacity:
-                ev, item = self._putters.popleft()
+                ev, item = self._putters.pop(0)
                 self._insert(item)
                 ev.succeed()
             if not (self._getters and self._items):
                 return
             while self._getters and self._items:
-                self._getters.popleft().succeed(self._pop())
+                self._getters.pop(0).succeed(self._pop())
             if not self._putters:
                 return
 
@@ -216,7 +225,7 @@ class Store:
         self._items.append(item)
 
     def _pop(self) -> Any:
-        return self._items.popleft()
+        return self._items.pop(0)
 
 
 class PriorityStore(Store):
@@ -224,6 +233,8 @@ class PriorityStore(Store):
 
     Items must be comparable (use ``(priority, seq, payload)`` tuples).
     """
+
+    __slots__ = ("_heap",)
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
         super().__init__(env, capacity)
@@ -247,19 +258,21 @@ class PriorityStore(Store):
         # Same fixpoint argument as Store._dispatch.
         while True:
             while self._putters and len(self._heap) < self.capacity:
-                ev, item = self._putters.popleft()
+                ev, item = self._putters.pop(0)
                 self._insert(item)
                 ev.succeed()
             if not (self._getters and self._heap):
                 return
             while self._getters and self._heap:
-                self._getters.popleft().succeed(self._pop())
+                self._getters.pop(0).succeed(self._pop())
             if not self._putters:
                 return
 
 
 class FilterStore(Store):
     """Store whose gets may carry a predicate selecting acceptable items."""
+
+    __slots__ = ()
 
     def put(self, item: Any) -> Event:
         """Insert ``item``; the returned event fires once inserted.
@@ -288,14 +301,13 @@ class FilterStore(Store):
         # capacity admits blocked putters (new items for the leftovers).
         while True:
             while self._putters and len(self._items) < self.capacity:
-                ev, item = self._putters.popleft()
+                ev, item = self._putters.pop(0)
                 self._items.append(item)
                 ev.succeed()
             matched = False
             if self._getters and self._items:
-                waiting: deque[StoreGet] = deque()
-                while self._getters:
-                    getter = self._getters.popleft()
+                waiting: list[StoreGet] = []
+                for getter in self._getters:
                     pred = getattr(getter, "filter", None)
                     for idx, item in enumerate(self._items):
                         if pred is None or pred(item):
@@ -316,6 +328,8 @@ class FilterStore(Store):
 class Container:
     """Continuous level with blocking put/get (e.g. bytes in a buffer)."""
 
+    __slots__ = ("env", "capacity", "_level", "_putters", "_getters")
+
     def __init__(
         self,
         env: Environment,
@@ -329,8 +343,8 @@ class Container:
         self.env = env
         self.capacity = capacity
         self._level = float(init)
-        self._putters: deque[tuple[Event, float]] = deque()
-        self._getters: deque[tuple[Event, float]] = deque()
+        self._putters: list[tuple[Event, float]] = []
+        self._getters: list[tuple[Event, float]] = []
 
     @property
     def level(self) -> float:
@@ -360,12 +374,12 @@ class Container:
         while progressed:
             progressed = False
             if self._putters and self._level + self._putters[0][1] <= self.capacity:
-                ev, amount = self._putters.popleft()
+                ev, amount = self._putters.pop(0)
                 self._level += amount
                 ev.succeed()
                 progressed = True
             if self._getters and self._level >= self._getters[0][1]:
-                ev, amount = self._getters.popleft()
+                ev, amount = self._getters.pop(0)
                 self._level -= amount
                 ev.succeed()
                 progressed = True

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from repro.apps.synthetic import SleepProgram
 from repro.core.journal import DEFAULT_BATCH_RECORDS, RunJournal, _plain
-from repro.core.tasklist import TaskList
+from repro.core.tasklist import JobSpec, TaskList
 from repro.simkernel.monitor import TraceRecord, record_line
 
 
@@ -189,6 +190,61 @@ class TestTypedHelpers:
             "reason": "worker_lost",
         }
         assert recs[1]["data"] == {"job": "t1", "attempt": 2}
+
+
+class TestEveryHelperWritesJson:
+    """Each typed helper's line must round-trip through ``json.loads``:
+    a line the reader rejects is fatal to ``jets resume`` unless it is
+    the torn tail."""
+
+    #: Raw buffer/file control, not record writers.
+    _NOT_HELPERS = {"append", "flush", "close", "abandon", "bind"}
+
+    def test_every_typed_helper_line_parses(self, tmp_path):
+        np = pytest.importorskip("numpy")
+        path = tmp_path / "run.journal"
+        jn = RunJournal(str(path), env=_Clock(3.5), segment=1)
+        jobs = [
+            JobSpec(program=SleepProgram(0.5), mpi=False, command="sleep 0.5"),
+            JobSpec(program=SleepProgram(1), nodes=np.int64(2), ppn=2,
+                    duration_hint=np.float64(1e300), priority=-7,
+                    max_attempts=1, command="sleep 1"),
+            JobSpec(program=SleepProgram(1), duration_hint=12,
+                    command='say "hi"'),
+        ]
+        called = set()
+
+        def call(name, *args, **kwargs):
+            called.add(name)
+            getattr(jn, name)(*args, **kwargs)
+
+        call("run_begin", machine="generic", nodes=4, seed=7, jobs=3,
+             policy="fifo", grouping="none", slots=2, cores_per_node=2,
+             stage=True, resume=True)
+        for job in jobs:
+            call("job_submitted", job)
+        call("job_launched", jobs[0].job_id, 0)
+        call("job_retry", jobs[0].job_id, 1, error="lost", reason="worker")
+        call("job_done", jobs[0].job_id, 1)
+        call("job_failed", jobs[1].job_id, 0, error="exit 1")
+        call("worker_registered", 3, 3)
+        call("worker_registered", "w3", 3)
+        call("worker_lost", 3, "shutdown")
+        call("run_end", ok=False, completed=1, failed=1)
+        jn.close()
+
+        helpers = {
+            name for name in vars(RunJournal)
+            if not name.startswith("_") and callable(getattr(jn, name))
+        } - self._NOT_HELPERS
+        assert called == helpers
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 12
+        recs = [json.loads(line) for line in lines]
+        submitted = [r["data"] for r in recs
+                     if r["cat"] == "journal.job_submitted"]
+        assert [d["duration_hint"] for d in submitted] == [0.5, 1e300, 12]
+        assert submitted[1]["nodes"] == 2
 
 
 class TestTornTailTruncation:

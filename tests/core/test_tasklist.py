@@ -35,6 +35,46 @@ class TestJobSpec:
         assert a.job_id != b.job_id
 
 
+class TestNumericFieldValidation:
+    """The run journal writes these fields into JSON verbatim; values
+    that would produce a line ``json.loads`` rejects fail at
+    construction instead."""
+
+    @pytest.mark.parametrize(
+        "hint", [float("inf"), float("-inf"), float("nan"), True, False,
+                 "1.0", None],
+    )
+    def test_bad_duration_hint_rejected(self, hint):
+        with pytest.raises(TaskListError, match="duration_hint"):
+            JobSpec(program=SleepProgram(1), duration_hint=hint)
+
+    @pytest.mark.parametrize("field", ["nodes", "ppn", "max_attempts",
+                                       "priority", "attempts"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, 2.5, "1", None])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(TaskListError, match=field):
+            JobSpec(program=SleepProgram(1), **{field: value})
+
+    def test_program_duration_must_be_finite(self):
+        with pytest.raises(TaskListError, match="duration_hint"):
+            JobSpec(program=SleepProgram(float("inf")))
+
+    def test_numpy_scalars_become_json_numbers(self):
+        np = pytest.importorskip("numpy")
+        job = JobSpec(
+            program=SleepProgram(1), nodes=np.int64(2),
+            duration_hint=np.float64(2.5), priority=np.int32(-1),
+        )
+        assert type(job.duration_hint) is float
+        assert job.duration_hint == 2.5
+        assert job.world_size == 2
+
+    def test_plain_numbers_kept_as_given(self):
+        job = JobSpec(program=SleepProgram(1), duration_hint=7, priority=-3)
+        assert job.duration_hint == 7 and type(job.duration_hint) is int
+        assert job.priority == -3
+
+
 class TestDuplicateIds:
     def test_duplicate_job_ids_rejected(self):
         a = JobSpec(program=SleepProgram(1), job_id="same")
