@@ -120,8 +120,8 @@ def wire_messages(events) -> list[WireMessage]:
 
 
 def _derive_seed(base: int, index: int) -> int:
-    # Schedule 0 keeps the FIFO baseline (SeededOrder(0) is a constant
-    # tiebreak); later schedules get well-separated xorshift streams.
+    # Schedule 0 keeps the FIFO baseline (SeededOrder(0) never permutes);
+    # later schedules get well-separated xorshift streams.
     if index == 0 and base == 0:
         return 0
     return (base * 1_000_003 + index) & ((1 << 63) - 1) or 1
@@ -151,13 +151,7 @@ def run_schedule(
     from ..obs.export import CanonicalDigest
 
     seed = _derive_seed(config.seed, index)
-    # Seed 0 is the FIFO baseline: run it on the production calendar-queue
-    # engine (no SchedulingOrder installed) instead of the legacy tiebreak
-    # heap with a constant tiebreak.  The two engines realize the same
-    # FIFO contract, so the schedule-0 digest doubles as a cross-engine
-    # equivalence oracle — permuted schedules still install SeededOrder
-    # and replay on the 5-tuple heap exactly as before.
-    env = Environment() if seed == 0 else Environment(order=SeededOrder(seed))
+    env = Environment(order=SeededOrder(seed))
     platform = Platform(
         generic_cluster(
             nodes=config.workers, cores_per_node=config.cores_per_node
@@ -235,13 +229,11 @@ def run_schedule(
             (seed * 0x9E3779B97F4A7C15 + 0x5DEECE66D) & ((1 << 63) - 1) or 1
         )
         for _warm in range(4):  # adjacent seeds need mixing before use
-            draw.tiebreak(None)  # type: ignore[arg-type]
+            draw.draw()
         # The window spans register/ready, wire-up and app phases of an
         # unperturbed run (which drains in ~1.6 sim-seconds).
-        kill_time = 0.02 + 1.6 * draw.tiebreak(None)  # type: ignore[arg-type]
-        victim = int(
-            draw.tiebreak(None) * len(agents)  # type: ignore[arg-type]
-        ) % len(agents)
+        kill_time = 0.02 + 1.6 * draw.draw()
+        victim = draw.pick(len(agents))
         killed_worker = agents[victim].worker_id
 
         def killer(agent=agents[victim], at=kill_time):
@@ -366,7 +358,8 @@ def explore_main(argv: Optional[Sequence[str]] = None) -> int:
             status = "ok" if result.ok else "FAIL"
             print(
                 f"schedule {result.index:4d} seed={result.seed}{kill} "
-                f"wire={result.wire_count} {status}"
+                f"wire={result.wire_count} digest={result.digest[:12]} "
+                f"{status}"
             )
             for problem in result.problems[:10]:
                 print(f"    {problem}")

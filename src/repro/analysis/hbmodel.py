@@ -105,7 +105,7 @@ class HappensBeforeChecker:
             print(cand.render())
 
     The checker is observation-only: it never logs, schedules, or
-    perturbs event order (the provenance hook fires after the heap
+    perturbs event order (the provenance hook fires after the calendar
     insertion it describes).
     """
 

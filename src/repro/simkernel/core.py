@@ -5,38 +5,32 @@ Every other subsystem in this reproduction (cluster nodes, network fabric,
 the JETS dispatcher, MPI bootstrap, the Swift dataflow engine) is expressed
 as :class:`Process` coroutines scheduled by an :class:`Environment`.
 
-Determinism: events are ordered by ``(time, priority, tiebreak, sequence)``
-where the sequence number is a monotonically increasing counter, so two
-runs with the same seed produce identical traces.  The ``tiebreak`` term is
-0.0 by default (pure FIFO among same-time, same-priority events — the
-historical ordering, bit-identical to older kernels); a pluggable
-:class:`SchedulingOrder` may perturb it to systematically explore
-alternative legal schedules (``jets explore``), exactly because any
-ordering of simultaneous events is a schedule the real system could
-exhibit.
+Determinism: events are delivered in ``(time, priority)`` order, and
+events that tie on both are delivered in schedule order (FIFO), so two
+runs with the same seed produce identical traces.  A pluggable
+:class:`SchedulingOrder` may instead pick which tied event goes next, to
+systematically explore alternative legal schedules (``jets explore``,
+chaos, resume): any ordering of simultaneous events is a schedule the
+real system could exhibit.
 
-Two scheduler engines realize that one ordering contract:
+One engine realizes both: a calendar queue.  Events live in
+per-timestamp buckets — an urgent and a normal lane of int handles,
+addressed by the exact-float time key — with a small heap of *unique*
+bucket times as the sorted overflow for far-future/irregular
+timestamps.  A handle is a bare slot index into a freelist-recycled
+event table, so pushing an event allocates no tuple and popping one is
+a cursor bump.  An installed order acts only at pop time: when the
+cursor reaches a lane with two or more undelivered handles, the order
+picks one and it is swapped to the cursor.  A provenance hook is a pure
+observer of the same engine.
 
-* **FIFO calendar queue** (default, no :class:`SchedulingOrder`): events
-  live in per-timestamp buckets — append-ordered lists addressed by an
-  exact-float time key — with a small heap of *unique* bucket times as
-  the sorted overflow for far-future/irregular timestamps.  Bucket
-  entries are int handles (bare slot indices) into a freelist-recycled
-  event table, so pushing an event allocates no tuple — the slot int
-  already exists — and popping one is a cursor bump.  Exact-float keys are the same tie
-  criterion the old heap used (``==`` on the time column), which keeps
-  the FIFO schedule byte-identical to the heap-based kernels.
-* **Legacy tiebreak heap** (any :class:`SchedulingOrder` installed): the
-  flat ``heapq`` of ``(time, priority, tiebreak, seq, event)`` 5-tuples,
-  unchanged, so ``jets explore`` permutations replay exactly.
-
-See DESIGN.md §16 for the data layout and the legality argument for the
-inline succeed→resume fast path.
+See DESIGN.md §16 for the data layout, the seeded pick and the legality
+argument for the inline succeed→resume fast path.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -67,13 +61,11 @@ NORMAL = 1
 #: Calendar entries are bare slot indices into the handle table — the
 #: lane a handle sits in already encodes its priority, so no bits are
 #: spent on it (and pushes reuse the existing slot int, allocating
-#: nothing).  A *negative* entry ``~slot`` on an urgent lane heads a
-#: two-entry callback pair (late listener on a processed event): its
-#: slot holds the callback, the following entry's slot the origin event.
+#: nothing).  A table entry that is a ``(callback, origin)`` tuple
+#: (urgent lanes only) is a late listener on an already-processed event.
 
 #: Hoisted allocator for the inlined event factories.
 _new = object.__new__
-_heappush = heapq.heappush
 
 
 class SimulationError(Exception):
@@ -147,8 +139,8 @@ class Event:
         self._value = value
         # Inlined Environment._insert fast path (succeed is the single
         # hottest scheduling site): append an int handle to the current
-        # bucket's normal lane.  The tiebreak and provenance branches
-        # stay out of line (_fast is False whenever either is installed).
+        # bucket's normal lane.  A provenance hook must see the schedule,
+        # so it turns the fast path off (_fast).
         env = self.env
         if env._fast:
             lane = env._bnow
@@ -181,78 +173,34 @@ class Event:
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             # Already processed: deliver at the current time through the
-            # scheduler so ordering stays deterministic.  Fast mode pushes
-            # a zero-alloc *callback pair* — two int handles on the
-            # current bucket's urgent lane (the first complemented, so a
-            # negative entry: its slot holds the callback, the next
-            # entry's slot the origin) — in exactly the lane position a
-            # relay event would occupy.  Outside fast mode (tiebreak order or provenance
-            # hook installed, or no live current bucket) the allocating
-            # :class:`_Relay` bridge keeps the observable behavior.
+            # scheduler so ordering stays deterministic.  The urgent-lane
+            # entry is a ``(callback, origin)`` pair: delivery hands the
+            # origin (not the pair) to the callback and raises iff the
+            # origin failed and is still undefused *at delivery time*.
+            # Under a provenance hook the pair is the listener's own
+            # causal node.  Inlined _insert while a bucket is live.
             env = self.env
             bucket = env._bcur
             if env._fast and bucket is not None:
                 free = env._free
-                table = env._table
                 if free:
                     slot = free.pop()
-                    table[slot] = callback
+                    env._table[slot] = (callback, self)
                 else:
-                    slot = len(table)
-                    table.append(callback)
-                if free:
-                    oslot = free.pop()
-                    table[oslot] = self
-                else:
-                    oslot = len(table)
-                    table.append(self)
+                    slot = len(env._table)
+                    env._table.append((callback, self))
                 lane = bucket[2]
                 if lane is None:
-                    bucket[2] = [~slot, oslot]
+                    bucket[2] = [slot]
                 else:
-                    lane.append(~slot)
-                    lane.append(oslot)
+                    lane.append(slot)
             else:
-                _Relay(env, self, callback)
+                env._schedule((callback, self), URGENT)
         else:
             self.callbacks.append(callback)
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} at {id(self):#x}>"
-
-
-class _Relay(Event):
-    """Zero-delay bridge re-delivering an already-processed event.
-
-    Mirrors the origin's outcome — including ``_defused``, so a late
-    listener on an already-handled failure does not re-raise it at
-    :meth:`Environment.step` — and delivers the *origin* (not itself) to
-    the callback, so listeners can't tell a relayed delivery from a
-    direct one.  If the listener defuses the origin's failure during
-    delivery, that defusal propagates back to the relay too.
-    """
-
-    __slots__ = ("_origin", "_callback")
-
-    def __init__(
-        self,
-        env: "Environment",
-        origin: Event,
-        callback: Callable[[Event], None],
-    ):
-        self.env = env
-        self.callbacks = [self._fire]
-        self._value = origin._value if origin._value is not PENDING else None
-        self._ok = origin._ok
-        self._defused = origin._defused
-        self._origin = origin
-        self._callback = callback
-        env._schedule(self, URGENT)
-
-    def _fire(self, _relay: Event) -> None:
-        self._callback(self._origin)
-        if not self._ok and self._origin._defused:
-            self._defused = True
 
 
 class Timeout(Event):
@@ -261,8 +209,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         # Inlined Event.__init__: timeouts are born triggered, so write
         # the final field values once instead of PENDING-then-overwrite.
         self.env = env
@@ -407,9 +355,12 @@ class Process(Event):
                 # (_solo), and its handle sits at the current bucket's
                 # normal-lane cursor with the urgent lane exhausted — so
                 # the scheduler's very next pop would deliver exactly
-                # this event to exactly this process.  Consume the handle
-                # inline and keep stepping the generator without a
-                # calendar round-trip.  Legality: DESIGN.md §16.
+                # this event to exactly this process.  Under a
+                # SchedulingOrder that holds only while it is the one
+                # undelivered handle (the pick is trivial and draws
+                # nothing).  Consume the handle inline and keep stepping
+                # the generator without a calendar round-trip.
+                # Legality: DESIGN.md §16.
                 if (
                     env._solo
                     and not callbacks
@@ -420,9 +371,11 @@ class Process(Event):
                     if bucket is not None:
                         lane = bucket[0]
                         i = bucket[1]
+                        n = len(lane)
                         if (
-                            i < len(lane)
+                            i < n
                             and env._table[lane[i]] is next_target
+                            and (env._order is None or i + 1 == n)
                             and (
                                 bucket[2] is None
                                 or bucket[3] >= len(bucket[2])
@@ -551,32 +504,31 @@ class AnyOf(Condition):
 class SchedulingOrder:
     """Policy for ordering simultaneous same-priority events.
 
-    The scheduler pops ``(time, priority, tiebreak, seq)``; the default
-    order returns a constant 0.0 tiebreak, reducing the key to the
-    historical ``(time, priority, seq)`` FIFO — existing runs stay
-    bit-identical.  Subclasses return other tiebreaks to permute ties:
-    every permutation is a schedule the real (asynchronous) system could
-    exhibit, which is what the bounded schedule explorer leans on.
-
-    Installing *any* order (even the FIFO-equivalent base class) routes
-    the environment onto the legacy 5-tuple heap engine; without one the
-    calendar queue realizes the same FIFO contract without per-event
-    tuple traffic.
+    The scheduler consults the order at pop time: whenever a lane of the
+    current bucket holds ``n >= 2`` undelivered handles, :meth:`pick`
+    chooses which of them (by position, 0 being the oldest) is delivered
+    next.  With a single candidate there is no tie and the order is not
+    consulted.  The base class always picks the oldest, which is the
+    FIFO schedule of an environment without an order.  Subclasses pick
+    others to permute ties: every permutation is a schedule the real
+    (asynchronous) system could exhibit, which is what the bounded
+    schedule explorer leans on.
     """
 
     __slots__ = ()
 
-    def tiebreak(self, event: "Event") -> float:
-        """Tiebreak key for one newly scheduled event (lower pops first)."""
-        return 0.0
+    def pick(self, n: int) -> int:
+        """Index in ``[0, n)`` of the tied handle to deliver next."""
+        return 0
 
 
 class SeededOrder(SchedulingOrder):
     """Deterministic pseudo-random tie permutation.
 
-    Draws each tiebreak from an inline xorshift64* stream so the kernel
-    needs no RNG dependency and two runs with the same seed replay the
-    same schedule exactly.  Seed 0 is reserved for the FIFO baseline.
+    Draws from an inline xorshift64* stream so the kernel needs no RNG
+    dependency and two runs with the same seed replay the same schedule
+    exactly.  Seed 0 is reserved for the FIFO baseline: it always picks
+    the oldest handle and draws nothing.
     """
 
     __slots__ = ("seed", "_state")
@@ -588,19 +540,28 @@ class SeededOrder(SchedulingOrder):
     def __init__(self, seed: int):
         self.seed = int(seed)
         if self.seed == 0:
-            self._state = None  # FIFO baseline: constant tiebreak
+            self._state = None  # FIFO baseline: no stream
         else:
             self._state = (self.seed ^ self._GOLDEN) & self._MASK or self._MIX
 
-    def tiebreak(self, event: "Event") -> float:
-        if self._state is None:
-            return 0.0
+    def _next(self) -> int:
         x = self._state
         x ^= x >> 12
         x = (x ^ (x << 25)) & self._MASK
         x ^= x >> 27
         self._state = x or self._GOLDEN
-        return ((x * self._MIX) & self._MASK) / float(1 << 64)
+        return (x * self._MIX) & self._MASK
+
+    def draw(self) -> float:
+        """Next value in ``[0, 1)`` of the stream (0.0 for seed 0)."""
+        if self._state is None:
+            return 0.0
+        return self._next() / float(1 << 64)
+
+    def pick(self, n: int) -> int:
+        if self._state is None:
+            return 0
+        return (self._next() * n) >> 64
 
 
 class Environment:
@@ -618,39 +579,40 @@ class Environment:
         env.run()
         assert p.value == 5.0
 
-    Under the default FIFO order the scheduler is a calendar queue:
+    The scheduler is a calendar queue:
 
     ``_buckets``
         ``{time: [normal_lane, normal_cursor, urgent_lane, urgent_cursor]}``
-        — one bucket per *exact* float timestamp.  Lanes are append-only
-        lists of int handles; cursors index the next undelivered handle.
-        The urgent lane is lazily allocated (URGENT events are only ever
-        scheduled at the current time, so far-future buckets never carry
-        one).
+        — one bucket per *exact* float timestamp.  Lanes are lists of int
+        handles appended in schedule order (an order's pick swaps within
+        the undelivered part); cursors index the next undelivered
+        handle.  The urgent lane is lazily allocated (URGENT events are
+        only ever scheduled at the current time, so far-future buckets
+        never carry one).
     ``_times``
         Min-heap of the *unique* live bucket timestamps — the sorted
         overflow structure.  A time is pushed exactly once (bucket
         creation) and popped only when its bucket has fully drained, so
         ``_times[0]`` is always the next delivery time.
     ``_table`` / ``_free``
-        Handle table and its freelist.  A handle is a bare slot index
-        (``~slot`` marks a callback-pair head, urgent lanes only); the
-        object lives at ``_table[slot]`` until its handle is consumed,
-        then the slot is recycled.  Pushing a handle reuses the slot
-        int from the freelist (or ``len(table)``), so steady-state
-        scheduling allocates nothing.
+        Handle table and its freelist.  A handle is a bare slot index;
+        the object lives at ``_table[slot]`` until its handle is
+        consumed, then the slot is recycled.  Pushing a handle reuses
+        the slot int from the freelist (or ``len(table)``), so
+        steady-state scheduling allocates nothing.
     ``_bnow`` / ``_bcur``
         Cache of the bucket at ``_now`` (its normal lane, and the bucket
         itself) or ``None`` — the target of the inlined
         :meth:`Event.succeed` / zero-delay :class:`Timeout` fast paths
         and of the inline succeed→resume consumption in
         :meth:`Process._resume`.
+    ``_order``
+        The :class:`SchedulingOrder`, or ``None`` for FIFO.  Only
+        :meth:`_pick` consults it, once per pop.
     """
 
     __slots__ = (
         "_now",
-        "_heap",
-        "_seq",
         "_order",
         "_fast",
         "_prov",
@@ -673,26 +635,20 @@ class Environment:
         order: Optional[SchedulingOrder] = None,
     ):
         self._now = float(initial_time)
-        # Legacy engine (any SchedulingOrder installed): heap entries are
-        # ``(time, priority, tiebreak, seq, event)`` 5-tuples.  Under the
-        # default FIFO order the heap stays empty and the calendar-queue
-        # fields below carry the schedule instead.
-        self._heap: list[tuple] = []
-        self._seq = 0
         self._order = order
         #: Event-provenance hook (``hook(cause, event, when)``) and the
         #: event whose callbacks are currently being delivered.  Both are
         #: observation-only: installing a hook never changes event order.
         self._prov: Optional[Callable] = None
         self._cause: Optional[Event] = None
-        # The inlined scheduling fast paths (Event.succeed and
-        # Timeout.__init__) are legal only when neither a tiebreak order
-        # nor a provenance hook needs to see the schedule.
-        self._fast = order is None
+        # The inlined inserts (Event.succeed, Timeout, late listeners)
+        # skip _schedule, so they are legal only while no provenance hook
+        # needs to see the schedule.
+        self._fast = True
         # Calendar queue (see class docstring).
         self._buckets: dict[float, list] = {}
         self._times: list[float] = []
-        self._table: list[Optional[Event]] = []
+        self._table: list[Any] = []
         self._free: list[int] = []
         self._bnow: Optional[list[int]] = None
         self._bcur: Optional[list] = None
@@ -734,44 +690,6 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` seconds from now."""
-        # Inlined Timeout.__init__ (the extra call frame is measurable in
-        # timeout-dominated campaigns); guarded or negative delays fall
-        # through to the constructor and its error handling.
-        if self._fast and delay >= 0:
-            ev = _new(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._defused = False
-            ev.delay = delay
-            t = self._now + delay
-            free = self._free
-            if free:
-                slot = free.pop()
-                self._table[slot] = ev
-            else:
-                slot = len(self._table)
-                self._table.append(ev)
-            bucket = self._buckets.get(t)
-            if bucket is not None:
-                bucket[0].append(slot)
-            else:
-                # Inlined bucket-miss path (the common case for
-                # irregular far-future delays): pooled bucket + overflow
-                # registration, mirroring _insert for NORMAL priority.
-                pool = self._bpool
-                if pool:
-                    bucket = pool.pop()
-                    bucket[0].append(slot)
-                else:
-                    bucket = [[slot], 0, None, 0]
-                self._buckets[t] = bucket
-                _heappush(self._times, t)
-                if t == self._now:
-                    self._bnow = bucket[0]
-                    self._bcur = bucket
-            return ev
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -799,18 +717,20 @@ class Environment:
         calls expose the kernel's true causal forest — event B scheduled
         during the delivery of A cannot happen without A — which the
         happens-before checker (:mod:`repro.analysis.hbmodel`) folds
-        into vector clocks.
+        into vector clocks.  A late listener on an already-processed
+        event is its own node: ``event`` (and later ``cause``) is then
+        its ``(callback, origin)`` pair.
 
-        Observation-only: scheduler data structure and event ordering
-        follow the :class:`SchedulingOrder` exactly as without a hook,
-        so the default FIFO schedule stays byte-identical.  Installing a
-        hook mid-``run()`` takes effect for scheduling immediately but
-        for cause tracking only at the next ``run()``/``step()`` call.
+        Observation-only: the hook rides the same engine, and event
+        ordering follows the :class:`SchedulingOrder` exactly as without
+        a hook.  Installing a hook mid-``run()`` takes effect for
+        scheduling immediately but for cause tracking only at the next
+        ``run()``/``step()`` call.
         """
         self._prov = hook
-        self._fast = self._order is None and hook is None
+        self._fast = hook is None
 
-    def _insert(self, event: Event, priority: int, t: float) -> None:
+    def _insert(self, event: Any, priority: int, t: float) -> None:
         """Calendar-queue insert: handle allocation + bucket append.
 
         The general (non-inlined) path: creates the bucket and registers
@@ -841,7 +761,7 @@ class Environment:
             else:
                 bucket = [[], 0, [slot], 0]
             buckets[t] = bucket
-            heapq.heappush(self._times, t)
+            heappush(self._times, t)
         elif priority == NORMAL:
             bucket[0].append(slot)
         else:
@@ -854,26 +774,29 @@ class Environment:
             self._bnow = bucket[0]
             self._bcur = bucket
 
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        if delay < 0.0:
-            raise ValueError(f"negative delay {delay}")
+    def _schedule(self, event: Any, priority: int, delay: float = 0.0) -> None:
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         t = self._now + delay
-        if self._order is None:
-            self._insert(event, priority, t)
-        else:
-            self._seq += 1
-            heapq.heappush(
-                self._heap,
-                (t, priority, self._order.tiebreak(event), self._seq, event),
-            )
+        self._insert(event, priority, t)
         if self._prov is not None:
             self._prov(self._cause, event, t)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._order is not None:
-            return self._heap[0][0] if self._heap else float("inf")
         return self._times[0] if self._times else float("inf")
+
+    def _pick(self, lane: list, i: int) -> None:
+        """Seeded tie pick at cursor ``i`` of ``lane``.
+
+        Swaps the order's choice among the undelivered handles
+        ``lane[i:]`` to the cursor.  Without a tie (one handle left) the
+        order is not consulted, so it draws nothing.
+        """
+        n = len(lane) - i
+        if n > 1:
+            j = i + self._order.pick(n)
+            lane[i], lane[j] = lane[j], lane[i]
 
     def _bucket_drained(self, bucket: list) -> bool:
         return bucket[1] >= len(bucket[0]) and (
@@ -882,7 +805,7 @@ class Environment:
 
     def _retire_bucket(self, when: float) -> None:
         bucket = self._buckets.pop(when)
-        heapq.heappop(self._times)
+        heappop(self._times)
         bucket[0].clear()
         bucket[1] = 0
         bucket[2] = None
@@ -891,73 +814,56 @@ class Environment:
         self._bnow = None
         self._bcur = None
 
+    def _raise_failure(self, event: Event, bucket: list, when: float) -> None:
+        """Raise ``event``'s undefused failure out of the delivery loop."""
+        if self._bucket_drained(bucket):
+            self._retire_bucket(when)
+        exc = event._value
+        raise exc if isinstance(exc, BaseException) else SimulationError(
+            repr(exc)
+        )
+
     def step(self) -> None:
         """Process the next scheduled event."""
-        if self._order is not None:
-            if not self._heap:
-                raise SimulationError("no more events")
-            entry = heapq.heappop(self._heap)
-            when, event = entry[0], entry[-1]
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
+        times = self._times
+        while times:
+            when = times[0]
+            bucket = self._buckets[when]
+            if not self._bucket_drained(bucket):
+                break
+            self._retire_bucket(when)
         else:
-            times = self._times
-            bucket = None
-            while times:
-                when = times[0]
-                bucket = self._buckets[when]
-                if not self._bucket_drained(bucket):
-                    break
-                self._retire_bucket(when)
-                bucket = None
-            if bucket is None:
-                raise SimulationError("no more events")
-            self._now = when
-            self._bnow = bucket[0]
-            self._bcur = bucket
-            lane = bucket[2]
-            if lane is not None and bucket[3] < len(lane):
-                slot = lane[bucket[3]]
-                if slot < 0:
-                    # Two-entry callback pair: first slot holds the
-                    # listener, second the already-processed origin.
-                    slot = ~slot
-                    oslot = lane[bucket[3] + 1]
-                    bucket[3] += 2
-                    callbacks = [self._table[slot]]
-                    event = self._table[oslot]
-                    self._table[slot] = None
-                    self._table[oslot] = None
-                    self._free.append(slot)
-                    self._free.append(oslot)
-                else:
-                    bucket[3] += 1
-                    event = self._table[slot]
-                    self._table[slot] = None
-                    self._free.append(slot)
-                    callbacks, event.callbacks = event.callbacks, None
-            else:
-                slot = bucket[0][bucket[1]]
-                bucket[1] += 1
-                event = self._table[slot]
-                self._table[slot] = None
-                self._free.append(slot)
-                callbacks, event.callbacks = event.callbacks, None
+            raise SimulationError("no more events")
+        self._now = when
+        self._bnow = bucket[0]
+        self._bcur = bucket
+        if bucket[2] is not None and bucket[3] < len(bucket[2]):
+            lane, cursor = bucket[2], 3
+        else:
+            lane, cursor = bucket[0], 1
+        i = bucket[cursor]
+        if self._order is not None:
+            self._pick(lane, i)
+        bucket[cursor] = i + 1
+        slot = lane[i]
+        event = self._table[slot]
+        self._table[slot] = None
+        self._free.append(slot)
         self.events_processed += 1
         if self._prov is not None:
             self._cause = event
+        if type(event) is tuple:  # late-listener pair
+            callback, event = event
+            callbacks = [callback]
+        else:
+            callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         self._cause = None
-        if self._order is None:
-            bucket = self._buckets.get(self._now)
-            if bucket is not None and self._bucket_drained(bucket):
-                self._retire_bucket(self._now)
         if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(
-                repr(exc)
-            )
+            self._raise_failure(event, bucket, when)
+        if self._bucket_drained(bucket):
+            self._retire_bucket(when)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -966,16 +872,16 @@ class Environment:
         (run up to that time), or an :class:`Event` (run until it fires and
         return its value).
         """
-        if self._order is not None:
-            return self._run_ordered(until)
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError("until is in the past")
+            if not stop_time >= self._now:  # also rejects NaN
+                raise ValueError(
+                    f"until must be a time >= now ({self._now}), got {until!r}"
+                )
 
         # Inlined hot loop (equivalent to repeated `step()` calls): one
         # outer iteration drains one calendar bucket — every event at
@@ -983,15 +889,15 @@ class Environment:
         # peek/stop checks that can't change within a batch.  Events
         # scheduled by a callback are never earlier than `now`, so
         # same-time arrivals append to the live bucket and join the
-        # current batch in exactly the order `step()` would have popped
-        # them; the stop event is still re-checked after every event so
+        # current batch exactly as `step()` would have seen them; the
+        # stop event is still re-checked after every event so
         # `until`-capped runs process precisely the same prefix.
         times = self._times
         buckets = self._buckets
         table = self._table
         free = self._free
         bpool = self._bpool
-        heappop = heapq.heappop
+        order = self._order
         # Hoisted: cause tracking is only paid for when a provenance hook
         # is installed (a hook installed mid-run starts tracking at the
         # next run() call).  The inline succeed→resume chain is enabled
@@ -1024,47 +930,38 @@ class Environment:
                 # against live bucket state before consuming anything.
                 n = len(lane)
                 while True:
-                    # The urgent lane drains first; within it, a
-                    # negative handle (``~slot``) heads a two-entry pair
-                    # (late listener on an already-processed event) and
-                    # is delivered directly — the zero-alloc equivalent
-                    # of a _Relay event in the same lane position.  A
-                    # normal-lane pop implies the urgent lane is
-                    # exhausted, so the solo gate there only has to
-                    # check its own lane.
+                    # The urgent lane drains first; a normal-lane pop
+                    # implies it is exhausted, so the solo gate there
+                    # only has to check its own lane.  Under an order,
+                    # _pick first swaps the order's choice among the
+                    # lane's undelivered handles to the cursor.
                     urgent = bucket[2]
                     if urgent is not None and bucket[3] < len(urgent):
                         i = bucket[3]
+                        if order is not None:
+                            self._pick(urgent, i)
+                        bucket[3] = i + 1
                         slot = urgent[i]
-                        if slot < 0:
-                            bucket[3] = i + 2
-                            slot = ~slot
-                            callback = table[slot]
+                        event = table[slot]
+                        if type(event) is tuple:
+                            # Late-listener pair: hand the processed
+                            # origin to the callback.
                             table[slot] = None
                             free.append(slot)
-                            oslot = urgent[i + 1]
-                            event = table[oslot]
-                            table[oslot] = None
-                            free.append(oslot)
                             self.events_processed += 1
                             if track:
                                 self._cause = event
+                            callback, event = event
                             self._solo = False
                             callback(event)
                             if not event._ok and not event._defused:
-                                if self._bucket_drained(bucket):
-                                    self._retire_bucket(when)
-                                exc = event._value
-                                raise exc if isinstance(
-                                    exc, BaseException
-                                ) else SimulationError(repr(exc))
+                                self._raise_failure(event, bucket, when)
                             if (
                                 stop_event is not None
                                 and stop_event.callbacks is None
                             ):
                                 break
                             continue
-                        bucket[3] = i + 1
                         solo = (
                             chain
                             and i + 1 >= len(urgent)
@@ -1076,10 +973,12 @@ class Environment:
                             n = len(lane)
                             if i >= n:
                                 break
+                        if order is not None:
+                            self._pick(lane, i)
                         bucket[1] = i + 1
                         slot = lane[i]
+                        event = table[slot]
                         solo = chain and i + 1 >= n
-                    event = table[slot]
                     table[slot] = None
                     free.append(slot)
                     self.events_processed += 1
@@ -1095,12 +994,7 @@ class Environment:
                         for callback in callbacks:
                             callback(event)
                     if not event._ok and not event._defused:
-                        if self._bucket_drained(bucket):
-                            self._retire_bucket(when)
-                        exc = event._value
-                        raise exc if isinstance(
-                            exc, BaseException
-                        ) else SimulationError(repr(exc))
+                        self._raise_failure(event, bucket, when)
                     if stop_event is not None and stop_event.callbacks is None:
                         break
                 # Inlined _bucket_drained: once per bucket, but there is
@@ -1119,68 +1013,6 @@ class Environment:
                 self._bcur = None
         finally:
             self._solo = False
-            if track:
-                self._cause = None
-
-        if stop_event is not None:
-            if stop_event.processed:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            raise SimulationError(
-                "simulation ran out of events before `until` event fired"
-            )
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _run_ordered(self, until: Optional[float | Event] = None) -> Any:
-        """Legacy heap engine: :meth:`run` under a :class:`SchedulingOrder`.
-
-        Kept verbatim from the pre-calendar kernel so ``jets explore``
-        schedule permutations (and their digests) replay exactly.
-        """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError("until is in the past")
-
-        heap = self._heap
-        heappop = heapq.heappop
-        track = self._prov is not None
-        try:
-            while heap:
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event._ok:
-                        stop_event._defused = True
-                        raise stop_event._value
-                    return stop_event._value
-                when = heap[0][0]
-                if when > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now = when
-                while heap and heap[0][0] == when:
-                    event = heappop(heap)[-1]
-                    self.events_processed += 1
-                    if track:
-                        self._cause = event
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc if isinstance(
-                            exc, BaseException
-                        ) else SimulationError(repr(exc))
-                    if stop_event is not None and stop_event.callbacks is None:
-                        break
-        finally:
             if track:
                 self._cause = None
 

@@ -15,18 +15,21 @@ from repro.simkernel import Environment, SeededOrder
 class TestSeededOrder:
     def test_seed_zero_is_fifo_baseline(self):
         order = SeededOrder(0)
-        assert [order.tiebreak(None) for _ in range(8)] == [0.0] * 8
+        assert [order.draw() for _ in range(8)] == [0.0] * 8
+        assert [order.pick(5) for _ in range(8)] == [0] * 8
 
     def test_nonzero_seed_permutes_deterministically(self):
         def stream(seed, n=16):
             order = SeededOrder(seed)
-            return [order.tiebreak(None) for _ in range(n)]
+            return [order.draw() for _ in range(n)]
 
         a = stream(7)
         assert a == stream(7)
         assert len(set(a)) == 16  # actually varies
         assert all(0.0 <= x < 1.0 for x in a)
         assert a != stream(8)
+        picks = SeededOrder(7)
+        assert all(0 <= picks.pick(3) < 3 for _ in range(64))
 
     def test_default_environment_order_unchanged(self):
         # No order (the production default) must keep the historic FIFO

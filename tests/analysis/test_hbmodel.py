@@ -43,12 +43,46 @@ class TestProvenanceHook:
         env.set_provenance(None)
         assert env._fast
 
-    def test_fast_path_stays_off_with_order_installed(self):
+    def test_fast_path_follows_hook_with_order_installed(self):
+        # Only a provenance hook switches the inlined inserts off; an
+        # installed order leaves them on.
         env = Environment(order=SeededOrder(3))
-        assert not env._fast
+        assert env._fast
         env.set_provenance(lambda *a: None)
-        env.set_provenance(None)
         assert not env._fast
+        env.set_provenance(None)
+        assert env._fast
+
+    def test_late_listener_is_its_own_causal_node(self):
+        """A late listener's delivery is attributed to its own node.
+
+        The node is reported when the listener is added (with the cause
+        being delivered then) and is the cause while it runs, so events
+        it schedules inherit the adder's chain, not the origin's.
+        """
+        env = Environment()
+        edges = []
+        env.set_provenance(
+            lambda cause, event, when: edges.append((cause, event))
+        )
+        origin = env.event()
+        origin.succeed()
+        env.run()
+        spawned = []
+
+        def listener(ev):
+            spawned.append(env.timeout(1.0))
+
+        def adder(env):
+            yield env.timeout(1.0)
+            origin._add_callback(listener)
+
+        env.process(adder(env))
+        env.run()
+        (node,) = [e for _c, e in edges if type(e) is tuple]
+        assert node == (listener, origin)
+        (cause,) = [c for c, e in edges if e is spawned[0]]
+        assert cause is node
 
     def test_cause_cleared_between_runs(self):
         env = Environment()

@@ -1,11 +1,11 @@
 """Edge cases of the calendar-queue scheduler.
 
-The FIFO engine keeps events in per-timestamp buckets of int handles
+The one engine keeps events in per-timestamp buckets of int handles
 with a heap of unique bucket times as the sorted overflow; these tests
-pin down its boundary behavior — negative delays, float-precision time
-keys, rollover past sparse far-future horizons, handle-table recycling
-(including after condition defusal), and coexistence with the legacy
-5-tuple heap engine used under a :class:`SchedulingOrder`.
+pin down its boundary behavior — negative and NaN delays, float-precision
+time keys, rollover past sparse far-future horizons, handle-table
+recycling (including after condition defusal), and FIFO and
+:class:`SchedulingOrder` runs sharing that engine.
 """
 
 import pytest
@@ -49,6 +49,27 @@ class TestNegativeDelay:
         env = Environment(order=SchedulingOrder())
         with pytest.raises(ValueError):
             env.timeout(-2.0)
+
+
+class TestNanTime:
+    """A NaN time would corrupt the clock: reject it at the door."""
+
+    def test_nan_timeout_rejected(self, env):
+        env.timeout(1.0)
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
+        env.timeout(2.0)
+        env.run()
+        assert env.now == 2.0
+        assert _table_is_clean(env)
+
+    def test_nan_until_rejected(self, env):
+        env.timeout(1.0)
+        with pytest.raises(ValueError):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        env.run()
+        assert env.now == 1.0
 
 
 class TestFloatPrecisionTies:
@@ -233,7 +254,7 @@ class TestHandleRecycling:
             ev.succeed("v")
             yield ev
             # ev is processed now: late listeners ride the urgent lane
-            # as callback pairs (or a relay outside fast mode).
+            # as (callback, origin) pairs.
             ev._add_callback(lambda e: hits.append(e.value))
             ev._add_callback(lambda e: hits.append(e.value))
             yield env.timeout(1.0)
@@ -245,6 +266,8 @@ class TestHandleRecycling:
 
 
 class TestEngineCoexistence:
+    """FIFO and ordered runs coexist on the one calendar engine."""
+
     @staticmethod
     def _workload(env):
         log = []
@@ -263,13 +286,13 @@ class TestEngineCoexistence:
         return log, env.events_processed
 
     def test_seed_zero_order_matches_calendar_engine(self):
-        """SeededOrder(0) (legacy heap, FIFO tiebreak) == calendar FIFO."""
+        """SeededOrder(0) never permutes: it is the FIFO schedule."""
         fifo_log, fifo_events = self._workload(Environment())
-        heap_log, heap_events = self._workload(
+        seeded_log, seeded_events = self._workload(
             Environment(order=SeededOrder(0))
         )
-        assert fifo_log == heap_log
-        assert fifo_events == heap_events
+        assert fifo_log == seeded_log
+        assert fifo_events == seeded_events
 
     def test_seeded_permutations_replay_exactly(self):
         logs = {}
@@ -283,15 +306,15 @@ class TestEngineCoexistence:
         # same multiset of deliveries.
         assert sorted(logs[7][0]) == sorted(logs[19][0])
 
-    def test_order_routes_to_heap_engine(self):
+    def test_order_routes_to_calendar_engine(self):
         env = Environment(order=SeededOrder(3))
         env.timeout(1.0)
-        assert env._heap and not env._buckets
+        assert env._buckets and env._times == [1.0]
         env.run()
-        assert not env._heap
+        assert not env._buckets and _table_is_clean(env)
 
     def test_fifo_routes_to_calendar_engine(self, env):
         env.timeout(1.0)
-        assert env._buckets and not env._heap
+        assert env._buckets and env._times == [1.0]
         env.run()
-        assert not env._buckets
+        assert not env._buckets and _table_is_clean(env)

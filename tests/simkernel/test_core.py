@@ -386,7 +386,11 @@ def iter_timeout(env):
 
 
 class TestRelay:
-    """Late callbacks on already-processed events (the relay path)."""
+    """Late callbacks on already-processed events.
+
+    Each is relayed through the urgent lane as one ``(callback, origin)``
+    entry; these pin the delivery semantics that entry must keep.
+    """
 
     def test_late_callback_delivers_origin(self, env):
         ev = env.event()
@@ -397,7 +401,7 @@ class TestRelay:
         ev._add_callback(seen.append)
         env.run()
         # The listener receives the origin (with its value), not the
-        # internal relay event.
+        # internal (callback, origin) entry.
         assert seen == [ev]
         assert seen[0].value == 42
 
@@ -412,7 +416,7 @@ class TestRelay:
         assert fired_at == [0]
 
     def test_late_listener_on_defused_failure_does_not_reraise(self, env):
-        """Regression: the relay must copy the origin's ``_defused``.
+        """Regression: a relayed delivery honours the origin's ``_defused``.
 
         A failed event whose exception was already caught is settled; a
         late passive listener must not make the scheduler re-raise it.
@@ -436,7 +440,7 @@ class TestRelay:
         assert seen == [ev]
 
     def test_listener_defusing_during_relay_suppresses_reraise(self, env):
-        """A late process that catches the failure defuses the relay too."""
+        """A late process that catches the failure settles the delivery."""
         ev = env.event()
         ev.fail(RuntimeError("boom"))
         with pytest.raises(RuntimeError):
@@ -451,7 +455,7 @@ class TestRelay:
                 caught.append(exc)
 
         env.process(late())
-        env.run()  # the catch above must settle the relay as well
+        env.run()  # the catch above must settle the relayed delivery
         assert len(caught) == 1
 
     def test_late_listener_ignoring_failure_still_raises(self, env):
