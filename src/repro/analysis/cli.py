@@ -21,14 +21,12 @@ finding) for CI annotation.  ``jets lint-trace`` validates a recorded
 JSONL run against the trace schema registry and the lifecycle state
 machines.
 
-``jets hotpath`` builds the project call graph (see
-:mod:`.callgraph`) and dumps the computed hot set — every function
-reachable from the declared kernel entry points, optionally unioned
-with a measured ``jets bench --profile`` profile.  With a FUNC
-argument it instead *explains* reachability: the shortest
-entry→function call chain, or "not on the hot path".  The same
-``--hot-profile`` file escalates the PF perf rules from warning to
-error during ``jets lint``.
+``jets hotpath`` dumps the measured hot set the PF perf rules escalate
+on: ``hot_set.json`` beside :mod:`.perf_rules`, the committed output of
+``jets bench --suite macro --quick --no-mem --profile``.  With a FUNC
+argument it reports whether that function is in the set and, if so,
+how often each workload called it.  ``--hot-profile FILE`` replaces
+the committed set, for ``jets lint`` as for ``jets hotpath``.
 
 ``jets sanitize`` is the two-layer race/determinism sanitizer: the
 static happens-before and RNG-sharing rules (HB*/RS*, alongside the
@@ -98,8 +96,8 @@ def build_lint_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--hot-profile", default=None, metavar="FILE",
-        help="BENCH_profile.json from `jets bench --profile`; profiled "
-        "functions join the hot set the PF rules escalate on",
+        help="BENCH_profile.json from `jets bench --profile`; its ids "
+        "replace the committed hot set the PF rules escalate on",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -201,16 +199,15 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
     ignore = (
         [s for s in args.ignore.split(",") if s] if args.ignore else None
     )
+    from .perf_rules import load_profile, set_hot_profile
+
     profile_ids = None
     if args.hot_profile:
-        from .callgraph import load_profile
-
         try:
-            profile_ids, _ = load_profile(args.hot_profile)
+            profile_ids = load_profile(args.hot_profile)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"jets lint: bad --hot-profile: {exc}", file=sys.stderr)
             return 2
-    from .perf_rules import set_hot_profile
 
     set_hot_profile(profile_ids)
     try:
@@ -523,24 +520,24 @@ def sanitize_main(argv: Optional[Sequence[str]] = None) -> int:
 def build_hotpath_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jets hotpath",
-        description="Dump the statically computed hot set (functions "
-        "reachable from the kernel entry points), or explain how one "
-        "function is reached from an entry.",
+        description="Dump the measured hot set the PF perf rules "
+        "escalate on, or report whether one function is in it.",
     )
     parser.add_argument(
         "func", nargs="?", default=None, metavar="FUNC",
-        help="function to explain: a graph id (module:qualname), a "
+        help="function to look up: an id (module:qualname), a "
         "Class.method qualname, or a bare name (default: dump the "
         "whole hot set)",
     )
     parser.add_argument(
         "--path", action="append", default=None, metavar="PATH",
-        help="source files/directories to analyze (repeatable; "
-        "default: ./src or .)",
+        help="sources whose defs FUNC may name, which tells a cold "
+        "function from an unknown one (repeatable; default: ./src or .)",
     )
     parser.add_argument(
         "--hot-profile", default=None, metavar="FILE",
-        help="BENCH_profile.json whose functions join the hot set",
+        help="BENCH_profile.json to read instead of the committed "
+        "hot set",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -549,98 +546,69 @@ def build_hotpath_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_modules(paths: Sequence[str]) -> tuple[list, list[str]]:
-    """Parse every .py under ``paths`` into framework Modules."""
+def _defined_ids(paths: Sequence[str]) -> set[str]:
+    """``module:qualname`` of every def under ``paths``."""
     import ast as _ast
 
-    from .framework import Module, iter_python_files
+    from .framework import iter_python_files
+    from .perf_rules import def_qualnames, module_name_for
 
-    modules, errors = [], []
+    ids: set[str] = set()
     for path in iter_python_files(paths):
         try:
-            source = path.read_text()
-            tree = _ast.parse(source, filename=str(path))
-        except OSError as exc:
-            errors.append(f"{path}: {exc}")
+            tree = _ast.parse(path.read_text(), filename=str(path))
+        except (OSError, SyntaxError) as exc:
+            print(f"jets hotpath: {path}: {exc}", file=sys.stderr)
             continue
-        except SyntaxError as exc:
-            errors.append(f"{path}: syntax error: {exc}")
-            continue
-        modules.append(Module(str(path), source, tree))
-    return modules, errors
+        prefix = module_name_for(str(path)) + ":"
+        ids.update(prefix + qual for _node, qual in def_qualnames(tree))
+    return ids
 
 
-def _render_chain(chain, graph) -> list[str]:
-    """One indented line per hop of a root→target chain."""
-    lines = []
-    for depth, (fid, kind) in enumerate(chain):
-        info = graph.functions.get(fid)
-        where = f"  ({info.path}:{info.lineno})" if info else ""
-        if depth == 0:
-            lines.append(f"{fid}  [{kind}]{where}")
-        else:
-            pad = "  " * depth
-            lines.append(f"{pad}└─ {kind} → {fid}{where}")
-    return lines
+def _names(fid: str, query: str) -> bool:
+    """Whether ``query`` names ``fid``: the exact id, its qualname, or
+    a dotted suffix of the qualname (``Class.method``, ``method``)."""
+    qual = fid.split(":", 1)[-1]
+    return query in (fid, qual) or qual.endswith("." + query)
 
 
 def hotpath_main(argv: Optional[Sequence[str]] = None) -> int:
     """``jets hotpath`` entry point; returns the exit code.
 
     Without FUNC: exit 0 after dumping the hot set.  With FUNC:
-    exit 0 if every match is on the hot path, 1 if any resolved match
-    is cold, 2 if the name does not resolve (or sources fail to parse).
+    exit 0 if every match is hot, 1 if any match is cold, 2 if the name
+    matches no def and no hot id (or the hot set cannot be read).
     """
     args = build_hotpath_parser().parse_args(argv)
-    from .callgraph import CallGraph, load_profile
+    from .perf_rules import HOT_SET_PATH, load_profile
 
-    paths = list(args.path) if args.path else (
-        ["src"] if os.path.isdir("src") else ["."]
-    )
-    profile_ids: Optional[set] = None
-    if args.hot_profile:
-        try:
-            profile_ids, _ = load_profile(args.hot_profile)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"jets hotpath: bad --hot-profile: {exc}",
-                  file=sys.stderr)
-            return 2
-    modules, errors = _collect_modules(paths)
-    for error in errors:
-        print(f"jets hotpath: {error}", file=sys.stderr)
-    if not modules:
-        print("jets hotpath: no Python sources found", file=sys.stderr)
+    source = args.hot_profile or str(HOT_SET_PATH)
+    try:
+        hot = load_profile(source)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"jets hotpath: bad hot set: {exc}", file=sys.stderr)
         return 2
-    graph = CallGraph.build(modules)
-    hot = graph.hot_set(profile_ids)
 
     if args.func is None:
         ordered = sorted(hot)
         if args.format == "json":
-            print(json.dumps(
-                {
-                    "entries": list(graph.entries),
-                    "profile": sorted(profile_ids) if profile_ids else [],
-                    "roots": dict(sorted(graph.roots.items())),
-                    "hot": ordered,
-                    "functions": len(graph.functions),
-                },
-                indent=2,
-            ))
+            print(json.dumps({"source": source, "hot": ordered}, indent=2))
             return 0
         for fid in ordered:
-            why = graph.roots.get(fid)
-            print(f"{fid}" + (f"  [{why}]" if why else ""))
+            print(fid)
         print(
-            f"jets hotpath: {len(ordered)} of {len(graph.functions)} "
-            f"functions on the hot path "
-            f"({len(graph.roots)} entry roots"
-            + (f", profile ∪ {len(profile_ids)} ids" if profile_ids else "")
-            + ")"
+            f"jets hotpath: {len(ordered)} functions on the hot path "
+            f"(measured: {source})"
         )
         return 0
 
-    matches = graph.resolve(args.func)
+    paths = list(args.path) if args.path else (
+        ["src"] if os.path.isdir("src") else ["."]
+    )
+    matches = sorted(
+        fid for fid in _defined_ids(paths).union(hot)
+        if _names(fid, args.func)
+    )
     if not matches:
         print(
             f"jets hotpath: no function matches {args.func!r} "
@@ -648,27 +616,19 @@ def hotpath_main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+    found = [
+        {"id": fid, "hot": fid in hot, "calls": hot.get(fid, {})}
+        for fid in matches
+    ]
     if args.format == "json":
-        doc = []
-        for fid in matches:
-            chain = graph.chain(fid, profile_ids)
-            doc.append({
-                "id": fid,
-                "hot": fid in hot,
-                "chain": [
-                    {"id": cid, "via": kind} for cid, kind in chain
-                ] if chain else None,
-            })
-        print(json.dumps({"query": args.func, "matches": doc}, indent=2))
-        return 0 if all(m["hot"] for m in doc) else 1
-    cold = 0
-    for fid in matches:
-        chain = graph.chain(fid, profile_ids)
-        if chain is None:
-            cold += 1
-            print(f"{fid}: NOT on the hot path (no entry reaches it)")
-            continue
-        print(f"{fid}: HOT — reached via:")
-        for line in _render_chain(chain, graph):
-            print(f"  {line}")
-    return 1 if cold else 0
+        print(json.dumps({"query": args.func, "matches": found}, indent=2))
+    else:
+        for match in found:
+            if not match["hot"]:
+                print(f"{match['id']}: NOT on the hot path")
+                continue
+            measured = ", ".join(
+                f"{wl} {n:,} calls" for wl, n in match["calls"].items()
+            )
+            print(f"{match['id']}: HOT — measured in {measured}")
+    return 0 if all(m["hot"] for m in found) else 1

@@ -5,9 +5,15 @@ kernel event loop, the store dispatch fixpoints, and the dispatcher /
 aggregator message handlers sustain ~10k tasks/s only while they stay
 allocation-lean.  These rules make that discipline machine-checked
 instead of tribal: each pattern is a *warning* anywhere, escalated to
-an *error* when the enclosing function is in the statically computed
-hot set (see :mod:`.callgraph`), optionally widened by a measured
-profile (``jets lint --hot-profile BENCH_profile.json``).
+an *error* when the enclosing function is in the **measured hot set**.
+
+The hot set is not computed here.  ``jets bench --profile`` measures it
+(see :mod:`repro.bench.harness`) and ``hot_set.json`` next to this
+module commits it: every ``repro`` function that a ``--quick`` cProfile
+of some macro workload calls at least once per 256 kernel events, or
+charges with at least 1 % of the profiled self time.  Ids match
+exactly, as ``module:qualname``.  ``jets lint --hot-profile FILE``
+replaces the committed set for one run.
 
 The rules are deliberately narrow — each trigger requires the hazard to
 be demonstrably per-iteration or per-event cost (a loop-invariant copy,
@@ -18,20 +24,52 @@ clean ``src/`` stays achievable without blanketing the tree in noqa.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence
+import functools
+import json
+from pathlib import Path, PurePath
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .callgraph import CallGraph, shared_graph
 from .framework import Finding, Module, ProjectRule, register
 
-__all__ = ["set_hot_profile", "hot_profile"]
+__all__ = [
+    "HOT_SET_PATH",
+    "committed_hot_set",
+    "def_qualnames",
+    "hot_profile",
+    "load_profile",
+    "module_name_for",
+    "set_hot_profile",
+    "slotless_dataclasses",
+]
 
-#: Function ids from a measured profile (``--hot-profile``); unioned
-#: into the hot set for the duration of one lint invocation.
+#: The committed measured hot set: the output of ``jets bench --suite
+#: macro --quick --no-mem --profile``, copied here.
+HOT_SET_PATH = Path(__file__).with_name("hot_set.json")
+
+#: Function ids from ``--hot-profile``; replaces the committed set for
+#: the duration of one lint invocation.
 _HOT_PROFILE: Optional[frozenset[str]] = None
 
 
-def set_hot_profile(ids: Optional[Sequence[str]]) -> None:
-    """Install (or clear, with None) the measured hot profile."""
+def load_profile(path: str) -> dict[str, dict[str, int]]:
+    """Read a ``jets bench --profile`` document: hot id -> call count
+    per workload."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    hot = doc.get("hot") if isinstance(doc, dict) else None
+    if not isinstance(hot, dict):
+        raise ValueError(f"{path}: not a bench profile (missing 'hot')")
+    return hot
+
+
+@functools.cache
+def committed_hot_set() -> frozenset[str]:
+    """The ids in :data:`HOT_SET_PATH` (read once per process)."""
+    return frozenset(load_profile(str(HOT_SET_PATH)))
+
+
+def set_hot_profile(ids: Optional[Iterable[str]]) -> None:
+    """Install (or clear, with None) a hot set replacing the committed one."""
     global _HOT_PROFILE
     _HOT_PROFILE = frozenset(ids) if ids is not None else None
 
@@ -40,7 +78,69 @@ def hot_profile() -> Optional[frozenset[str]]:
     return _HOT_PROFILE
 
 
-_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+def module_name_for(path: str) -> str:
+    """Dotted module name for a source path.
+
+    ``.../src/repro/simkernel/core.py`` → ``repro.simkernel.core``;
+    files outside a ``src``/``repro`` root fall back to their stem, so
+    fixture files analyzed standalone still get stable ids.
+    """
+    p = PurePath(path)
+    parts = list(p.parts[:-1])
+    if p.stem != "__init__":
+        parts.append(p.stem)
+    last_index = {part: i for i, part in enumerate(parts)}
+    for anchor in ("src", "repro"):
+        i = last_index.get(anchor)
+        if i is not None:
+            tail = parts[i + 1:] if anchor == "src" else parts[i:]
+            if tail:
+                return ".".join(tail)
+    return parts[-1] if parts else p.stem or "module"
+
+
+_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def def_qualnames(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
+    """Every function def in ``tree`` with its dotted qualname
+    (``Class.method``, ``outer.inner``) — the part of a hot-set id
+    after the ``module:``."""
+
+    def visit(node: ast.AST, prefix: str) -> Iterator[tuple[ast.AST, str]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _FUNC_DEFS):
+                yield child, prefix + child.name
+                yield from visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, prefix + child.name + ".")
+            else:
+                yield from visit(child, prefix)
+
+    return visit(tree, "")
+
+
+def _hot_test(
+    module: Module, hot: frozenset[str]
+) -> Callable[[ast.AST], bool]:
+    """``is_hot(node)`` for one module: whether the innermost def around
+    ``node`` is in the hot set.  Lambdas count toward their enclosing
+    def, as their frames do in the profile."""
+    prefix = module_name_for(module.path) + ":"
+    hot_defs = {
+        id(d) for d, q in def_qualnames(module.tree) if prefix + q in hot
+    }
+
+    def is_hot(node: ast.AST) -> bool:
+        if not hot_defs:
+            return False
+        enclosing = module.dataflow.enclosing_function
+        cur = enclosing(node)
+        while isinstance(cur, ast.Lambda):
+            cur = enclosing(cur)
+        return id(cur) in hot_defs
+
+    return is_hot
 
 
 class PerfRule(ProjectRule):
@@ -49,33 +149,16 @@ class PerfRule(ProjectRule):
     severity = "warning"
 
     def check_project(self, modules: Sequence[Module]) -> Iterator[Finding]:
-        graph = shared_graph(modules)
-        hot = graph.hot_set(_HOT_PROFILE)
+        hot = _HOT_PROFILE
+        if hot is None:
+            hot = committed_hot_set()
         for module in modules:
-            yield from self.check_module(module, graph, hot)
+            yield from self.check_module(module, _hot_test(module, hot))
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def is_hot(
-        self,
-        module: Module,
-        graph: CallGraph,
-        hot: frozenset[str],
-        node: ast.AST,
-    ) -> bool:
-        """Whether ``node`` sits inside a hot-set function (any
-        enclosing named function counts; lambdas inherit)."""
-        df = module.dataflow
-        cur = df.enclosing_function(node)
-        while cur is not None:
-            fid = graph.id_of(cur)
-            if fid is not None and fid in hot:
-                return True
-            cur = df.enclosing_function(cur)
-        return False
 
     def pf_finding(
         self, module: Module, node: ast.AST, message: str, hot: bool
@@ -172,7 +255,7 @@ class AllocationInEventLoop(PerfRule):
     )
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
         bound_cache: dict[int, set[str]] = {}
         for node in ast.walk(module.tree):
@@ -191,7 +274,7 @@ class AllocationInEventLoop(PerfRule):
                     f"{func.id}() over a list comprehension "
                     "materializes a throwaway list; use a generator "
                     "expression",
-                    self.is_hot(module, graph, hot, node),
+                    is_hot(node),
                 )
                 continue
             if (
@@ -213,7 +296,7 @@ class AllocationInEventLoop(PerfRule):
                     module, node,
                     f"loop-invariant {func.id}({arg}) rebuilt every "
                     "iteration; hoist the copy out of the loop",
-                    self.is_hot(module, graph, hot, node),
+                    is_hot(node),
                 )
 
 
@@ -269,7 +352,7 @@ class UnhoistedAttributeChain(PerfRule):
     min_links = 2
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
         df = module.dataflow
         # innermost loop id -> chain -> [attribute nodes]
@@ -312,7 +395,7 @@ class UnhoistedAttributeChain(PerfRule):
                     f"attribute chain '{dotted}' resolved "
                     f"{len(nodes)}x per loop iteration; bind it to a "
                     "local before the loop",
-                    self.is_hot(module, graph, hot, first),
+                    is_hot(first),
                 )
 
 
@@ -382,7 +465,7 @@ class FormattingAtTraceCallSite(PerfRule):
     )
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -392,7 +475,7 @@ class FormattingAtTraceCallSite(PerfRule):
             args = list(node.args) + [
                 kw.value for kw in node.keywords if kw.value is not None
             ]
-            is_hot = self.is_hot(module, graph, hot, node)
+            hot = is_hot(node)
             for arg in args:
                 for bad in _formatted_exprs(arg):
                     yield self.pf_finding(
@@ -400,8 +483,89 @@ class FormattingAtTraceCallSite(PerfRule):
                         "string formatted eagerly at a trace.log call "
                         "site; pass raw fields and let the exporter "
                         "render",
-                        is_hot,
+                        hot,
                     )
+
+
+def _base_name(expr: ast.expr) -> Optional[str]:
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    if isinstance(expr, ast.Subscript):  # Generic[T]-style bases
+        return _base_name(expr.value)
+    return None
+
+
+def _class_is_slotted(node: ast.ClassDef) -> bool:
+    """``__slots__`` in the body, or a ``slots=True`` decorator."""
+    for stmt in node.body:
+        targets = (
+            stmt.targets if isinstance(stmt, ast.Assign)
+            else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        )
+        if any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in targets
+        ):
+            return True
+    return any(
+        kw.arg == "slots"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for deco in node.decorator_list if isinstance(deco, ast.Call)
+        for kw in deco.keywords
+    )
+
+
+def _class_is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _base_name(deco.func if isinstance(deco, ast.Call) else deco)
+        == "dataclass"
+        for deco in node.decorator_list
+    )
+
+
+_EXC_SUFFIXES = ("Error", "Exception", "Warning", "Interrupt")
+#: Bases that make instantiation a lookup or an already-compact layout.
+_SLOT_EXEMPT_BASES = frozenset({
+    "Enum", "IntEnum", "StrEnum", "Flag", "IntFlag", "NamedTuple",
+    "tuple", "TypedDict", "Protocol",
+})
+
+
+def _looks_exceptional(name: str) -> bool:
+    return name.endswith(_EXC_SUFFIXES) or name in (
+        "BaseException", "KeyboardInterrupt", "StopIteration",
+    )
+
+
+def _flaggable(node: ast.ClassDef) -> bool:
+    """A slot-less dataclass that is neither an exception nor built on
+    an exempt base: the only class shape PF004 reports."""
+    bases = {b for b in map(_base_name, node.bases) if b}
+    return (
+        _class_is_dataclass(node)
+        and not _class_is_slotted(node)
+        and not _looks_exceptional(node.name)
+        and not any(_looks_exceptional(b) for b in bases)
+        and not bases & _SLOT_EXEMPT_BASES
+    )
+
+
+def slotless_dataclasses(modules: Sequence[Module]) -> frozenset[str]:
+    """Class names PF004 flags when instantiated in a loop.
+
+    Calls are matched by name only, so a name qualifies when *every*
+    project class of that name is :func:`_flaggable`.
+    """
+    verdict: dict[str, bool] = {}
+    for module in modules:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ClassDef):
+                verdict[node.name] = (
+                    verdict.get(node.name, True) and _flaggable(node)
+                )
+    return frozenset(name for name, ok in verdict.items() if ok)
 
 
 @register
@@ -440,9 +604,14 @@ class HotClassWithoutSlots(PerfRule):
         "    ..."
     )
 
+    def check_project(self, modules: Sequence[Module]) -> Iterator[Finding]:
+        self._slotless = slotless_dataclasses(modules)
+        return super().check_project(modules)
+
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
+        slotless = self._slotless
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -453,30 +622,16 @@ class HotClassWithoutSlots(PerfRule):
                 cname = func.attr
             else:
                 continue
-            infos = graph.classes.get(cname)
-            if not infos:
-                continue
-            if any(
-                c.slotted
-                or c.is_exception
-                or not c.is_dataclass
-                or set(c.base_names)
-                & {
-                    "Enum", "IntEnum", "StrEnum", "Flag", "IntFlag",
-                    "NamedTuple", "tuple", "TypedDict", "Protocol",
-                }
-                for c in infos
-            ):
+            if cname not in slotless:
                 continue
             if _enclosing_loop(module, node) is None:
                 continue
-            is_hot = self.is_hot(module, graph, hot, node)
             yield self.pf_finding(
                 module, node,
                 f"class {cname} has no __slots__; each instance "
                 "allocates a __dict__ — add __slots__ or "
                 "dataclass(slots=True)",
-                is_hot,
+                is_hot(node),
             )
 
 
@@ -515,7 +670,7 @@ class TryInEventLoop(PerfRule):
     )
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Try):
@@ -528,7 +683,7 @@ class TryInEventLoop(PerfRule):
                 for sub in ast.walk(stmt)
             ):
                 continue
-            if not self.is_hot(module, graph, hot, node):
+            if not is_hot(node):
                 continue
             yield self.pf_finding(
                 module, node,
@@ -584,10 +739,8 @@ class HeapOutsideScheduler(PerfRule):
     )
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
-        from .callgraph import module_name_for
-
         if module_name_for(module.path) == _SCHEDULER_MODULE:
             return
         # Names bound by `from heapq import heappush [as push]` (plus
@@ -641,7 +794,7 @@ class HeapOutsideScheduler(PerfRule):
                 f"heapq.{fname}(){detail} outside the kernel scheduler; "
                 "schedule through the Environment calendar queue or "
                 "justify the private heap",
-                self.is_hot(module, graph, hot, node),
+                is_hot(node),
             )
 
 
@@ -687,7 +840,7 @@ class ListMembershipInHotFunction(PerfRule):
     )
 
     def check_module(
-        self, module: Module, graph: CallGraph, hot: frozenset[str]
+        self, module: Module, is_hot: Callable[[ast.AST], bool]
     ) -> Iterator[Finding]:
         df = module.dataflow
         for node in ast.walk(module.tree):
@@ -703,12 +856,12 @@ class ListMembershipInHotFunction(PerfRule):
             defs = df.reaching_defs(node, target.id)
             if not defs or not all(_is_list_typed(d) for d in defs):
                 continue
-            is_hot = self.is_hot(module, graph, hot, node)
-            if not is_hot and _enclosing_loop(module, node) is None:
+            hot = is_hot(node)
+            if not hot and _enclosing_loop(module, node) is None:
                 continue
             yield self.pf_finding(
                 module, node,
                 f"membership test scans list '{target.id}' (O(n)); "
                 "use a set/frozenset",
-                is_hot,
+                hot,
             )

@@ -141,7 +141,7 @@ class NamdProgram(MpiProgram):
         # The simulation itself. The wall time is the *total* segment time;
         # ranks progress in lockstep (Charm++ load balancing).
         compute = self.wall_time(ctx.size)
-        yield ctx.env.timeout(compute)
+        yield ctx.compute(compute)
         # Rank 0 writes outputs; stdout streams back through the proxy.
         if ctx.rank == 0 and ctx.node.shared_fs is not None:
             yield from ctx.node.shared_fs.write(model.output_bytes)

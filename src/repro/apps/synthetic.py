@@ -53,7 +53,7 @@ class SleepProgram(MpiProgram):
         self.nominal_duration = duration
 
     def run(self, ctx: RankContext) -> Generator:
-        yield ctx.env.timeout(self.duration)
+        yield ctx.compute(self.duration)
         return ctx.rank
 
 
@@ -69,7 +69,7 @@ class BarrierSleepBarrier(MpiProgram):
 
     def run(self, ctx: RankContext) -> Generator:
         yield from ctx.comm.barrier(ctx.rank)
-        yield ctx.env.timeout(self.duration)
+        yield ctx.compute(self.duration)
         yield from ctx.comm.barrier(ctx.rank)
         return ctx.rank
 
@@ -91,7 +91,7 @@ class SwiftSyntheticTask(MpiProgram):
 
     def run(self, ctx: RankContext) -> Generator:
         yield from ctx.comm.barrier(ctx.rank)
-        yield ctx.env.timeout(self.duration)
+        yield ctx.compute(self.duration)
         if ctx.node.shared_fs is not None:
             yield from ctx.node.shared_fs.write(self.WRITE_BYTES)
         yield from ctx.comm.barrier(ctx.rank)

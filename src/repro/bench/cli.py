@@ -96,17 +96,11 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="after the timed pass, run each workload once more under "
-        "cProfile and write BENCH_profile.json (top-N project "
-        "functions by cumulative time; feeds `jets lint "
-        "--hot-profile`). Profiled numbers never enter the timed "
+        "cProfile and write BENCH_profile.json: the hot set, i.e. the "
+        "project functions called at least once per 256 kernel events "
+        "or holding at least 1%% of the self time (what `jets lint` "
+        "escalates on). Profiled numbers never enter the timed "
         "results, so baselines stay comparable",
-    )
-    parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=25,
-        metavar="N",
-        help="functions kept per workload in the profile (default: 25)",
     )
     parser.add_argument(
         "--rss-budget-mb",
@@ -157,7 +151,7 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     exit_code = 0
-    profiled: dict[str, list[dict]] = {}
+    profiled: dict[str, tuple[dict[str, int], set[str]]] = {}
     for suite in suites:
         print(f"suite {suite}{' (quick)' if args.quick else ''}:")
         try:
@@ -210,18 +204,12 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
                     exit_code = 1
         if args.profile:
             print(f"  profiling {suite}...")
-            profiled.update(profile_suite(
-                suite,
-                quick=args.quick,
-                top=max(1, args.profile_top),
-                only=args.only,
-            ))
+            profiled.update(
+                profile_suite(suite, quick=args.quick, only=args.only)
+            )
     if args.profile:
         profile_path = os.path.join(args.out_dir, "BENCH_profile.json")
-        write_profile(
-            profiled, profile_path,
-            quick=args.quick, top=max(1, args.profile_top),
-        )
+        write_profile(profiled, profile_path, quick=args.quick)
         print(f"wrote {profile_path} ({len(profiled)} workloads)")
     return exit_code
 

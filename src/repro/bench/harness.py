@@ -62,6 +62,8 @@ __all__ = [
     "profile_workload",
     "profile_suite",
     "write_profile",
+    "HOT_EVENTS_PER_CALL",
+    "HOT_SELF_SHARE",
 ]
 
 #: JSON schema version of the BENCH files.
@@ -348,131 +350,169 @@ def compare_runs(
 #
 # Run *after* (and separately from) the timed pass: cProfile's tracing
 # overhead would contaminate wall times, so profiled numbers never enter
-# BENCH_<suite>.json and baselines stay comparable.  The output feeds
-# ``jets lint --hot-profile`` / ``jets hotpath --hot-profile``: the
-# top-N cumulative-time functions join the statically computed hot set.
+# BENCH_<suite>.json and baselines stay comparable.  The output is the
+# measured hot set the PF perf rules escalate on; the macro suite's
+# ``--quick`` profile is committed as ``repro/analysis/hot_set.json``.
 
-#: Per-file lineno -> qualname tables, parsed lazily from source.
-_QUALNAME_CACHE: dict[str, dict[int, str]] = {}
+#: A project function is hot when a workload calls it at least once per
+#: this many kernel events ...
+HOT_EVENTS_PER_CALL = 256
+#: ... or when it holds at least this share of the workload's profiled
+#: self time (the clause that catches ``Environment.run``, whose inlined
+#: event loop is one call per run).
+HOT_SELF_SHARE = 0.01
+
+#: Per-file def spans, parsed lazily from source.
+_SPAN_CACHE: dict[str, list[tuple[int, int, str]]] = {}
 
 
-def _qualnames_for(path: str) -> dict[int, str]:
-    """Map function-def line numbers to dotted qualnames for one file.
-
-    cProfile keys stats by ``(filename, lineno, co_name)``; ``co_name``
-    is the bare name, so ``step`` could be anything.  Re-parsing the
-    source recovers the stable ``Class.method`` qualname at that line.
-    """
+def _def_spans(path: str) -> list[tuple[int, int, str]]:
+    """``(first line, last line, qualname)`` per def in one file, sorted
+    by first line; the first line is the first decorator's, because
+    that is the line cProfile keys a decorated function by."""
     import ast
 
-    cached = _QUALNAME_CACHE.get(path)
+    from ..analysis.perf_rules import def_qualnames
+
+    cached = _SPAN_CACHE.get(path)
     if cached is not None:
         return cached
-    table: dict[int, str] = {}
     try:
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
     except (OSError, SyntaxError):
-        _QUALNAME_CACHE[path] = table
-        return table
-
-    def visit(node, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                table[child.lineno] = prefix + child.name
-                visit(child, prefix + child.name + ".")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, prefix + child.name + ".")
-            else:
-                visit(child, prefix)
-
-    visit(tree, "")
-    _QUALNAME_CACHE[path] = table
-    return table
+        tree = None
+    spans = sorted(
+        (
+            min([node.lineno] + [d.lineno for d in node.decorator_list]),
+            node.end_lineno or node.lineno,
+            qual,
+        )
+        for node, qual in (def_qualnames(tree) if tree else ())
+    )
+    _SPAN_CACHE[path] = spans
+    return spans
 
 
 def function_id(filename: str, lineno: int, funcname: str) -> str:
-    """Stable ``module:qualname`` id for one profiled frame."""
-    from ..analysis.callgraph import module_name_for
+    """Stable ``module:qualname`` id for one profiled frame.
 
-    qual = _qualnames_for(filename).get(lineno, funcname)
+    cProfile keys stats by ``(filename, lineno, co_name)``; ``co_name``
+    is the bare name, so ``step`` could be anything.  Re-parsing the
+    source recovers the ``Class.method`` qualname of the innermost def
+    spanning that line.  Comprehension and lambda frames thereby count
+    toward their enclosing def (or ``<module>``); a line no def spans
+    keeps the bare name.
+    """
+    from ..analysis.perf_rules import module_name_for
+
+    qual = "<module>" if funcname.startswith("<") else funcname
+    for first, last, name in _def_spans(filename):
+        if first > lineno:
+            break
+        if lineno <= last:
+            qual = name
     return f"{module_name_for(filename)}:{qual}"
 
 
 def profile_workload(
-    workload: Workload, quick: bool = False, top: int = 25
-) -> list[dict]:
-    """cProfile one workload; the top-N project frames by cumtime.
+    workload: Workload, quick: bool = False
+) -> tuple[dict[str, int], set[str]]:
+    """cProfile one workload: the call count of every ``repro`` function
+    it ran, sorted by id, and the ids that are hot.
 
-    Frames outside the ``repro`` package (stdlib, site-packages) are
-    dropped: the hot-profile consumer only escalates lint severity on
-    project functions, and filtering here keeps the JSON small and the
-    ids resolvable against the call graph.
+    A function is hot when its calls reach one per
+    :data:`HOT_EVENTS_PER_CALL` kernel events (the workload's
+    ``events``) or its self time reaches :data:`HOT_SELF_SHARE` of the
+    profile's total.  Module-level code (a class-body lambda, a
+    top-level comprehension) folds into ``<module>``, which holds no
+    def for a lint to escalate, so it never enters either.
     """
     import cProfile
+    import gc
     import os
     import pstats
 
+    # Finalize what earlier passes left behind (suspended process
+    # generators run their ``finally`` blocks when collected), so none
+    # of it is counted against this workload.
+    gc.collect()
     prof = cProfile.Profile()
     prof.enable()
     try:
-        workload.fn(quick)
+        out = workload.fn(quick) or {}
     finally:
         prof.disable()
-    stats = pstats.Stats(prof).stats  # type: ignore[attr-defined]
+    stats = pstats.Stats(prof)
+    rows = stats.stats  # type: ignore[attr-defined]
+    events = out.get("events") or 0
     marker = f"{os.sep}repro{os.sep}"
-    entries: list[dict] = []
-    for (filename, lineno, funcname), row in stats.items():
+    calls: dict[str, int] = {}
+    self_s: dict[str, float] = {}
+    for (filename, lineno, funcname), row in rows.items():
         if marker not in filename:
             continue
-        _cc, ncalls, tottime, cumtime, _callers = row
-        entries.append({
-            "id": function_id(filename, lineno, funcname),
-            "ncalls": ncalls,
-            "tottime": round(tottime, 6),
-            "cumtime": round(cumtime, 6),
-        })
-    entries.sort(key=lambda e: (-e["cumtime"], e["id"]))
-    return entries[:top]
+        fid = function_id(filename, lineno, funcname)
+        if fid.endswith(":<module>"):
+            continue
+        calls[fid] = calls.get(fid, 0) + row[1]
+        self_s[fid] = self_s.get(fid, 0.0) + row[2]
+    floor = HOT_SELF_SHARE * stats.total_tt  # type: ignore[attr-defined]
+    hot = {
+        fid for fid, n in calls.items()
+        if (events and n * HOT_EVENTS_PER_CALL >= events)
+        or self_s[fid] >= floor
+    }
+    return dict(sorted(calls.items())), hot
 
 
 def profile_suite(
-    suite: str,
-    quick: bool = False,
-    top: int = 25,
-    only: Optional[list[str]] = None,
-    progress=None,
-) -> dict[str, list[dict]]:
-    """Profile every workload of a suite; workload name -> top frames."""
+    suite: str, quick: bool = False, only: Optional[list[str]] = None
+) -> dict[str, tuple[dict[str, int], set[str]]]:
+    """Profile every workload of a suite; name -> (calls, hot ids)."""
     workloads = SUITES.get(suite)
     if workloads is None:
         raise KeyError(f"unknown bench suite {suite!r}")
     if only:
         workloads = [wl for wl in workloads if wl.name in set(only)]
-    out: dict[str, list[dict]] = {}
-    for wl in workloads:
-        out[wl.name] = profile_workload(wl, quick=quick, top=top)
-        if progress is not None:
-            progress(wl.name, out[wl.name])
-    return out
+    return {wl.name: profile_workload(wl, quick=quick) for wl in workloads}
 
 
 def write_profile(
-    workloads: dict[str, list[dict]],
+    profiles: dict[str, tuple[dict[str, int], set[str]]],
     path: str,
     quick: bool = False,
-    top: int = 25,
 ) -> dict:
-    """Write ``BENCH_profile.json`` in the layout ``load_profile`` reads."""
-    doc = {
+    """Write ``BENCH_profile.json``, the layout ``load_profile`` reads.
+
+    ``hot`` maps each id that is hot in some workload, sorted, to its
+    call count in every workload that ran it, one id per line.  The
+    file holds no timings and no interpreter version: call counts are
+    deterministic, so regenerating it on unchanged source rewrites it
+    byte for byte.
+    """
+    hot_ids = set().union(*(hot for _calls, hot in profiles.values()))
+    hot = {
+        fid: {
+            name: calls[fid]
+            for name, (calls, _hot) in profiles.items() if fid in calls
+        }
+        for fid in sorted(hot_ids)
+    }
+    meta = {
         "schema": SCHEMA,
         "kind": "profile",
         "quick": quick,
-        "top": top,
-        "python": sys.version.split()[0],
-        "workloads": workloads,
+        "rule": {
+            "events_per_call": HOT_EVENTS_PER_CALL,
+            "self_share": HOT_SELF_SHARE,
+        },
+        "workloads": list(profiles),
     }
+    rows = [f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in hot.items()]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return doc
+        fh.write("{\n")
+        for key, value in meta.items():
+            fh.write(f"  {json.dumps(key)}: {json.dumps(value)},\n")
+        fh.write('  "hot": {\n' + ",\n".join(rows) + "\n  }\n}\n")
+    return {**meta, "hot": hot}

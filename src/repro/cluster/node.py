@@ -17,7 +17,7 @@ import numpy as np
 from ..oslayer.filesystem import LocalRamFS, SharedFilesystem
 from ..oslayer.process import ExecutableImage, ProcessCostSpec, load_executable
 from ..oslayer.zeptoos import ZeptoConfig
-from ..simkernel import Environment, Gauge, Resource, Timeout
+from ..simkernel import Environment, Gauge, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from .platform import Platform
@@ -51,8 +51,9 @@ class Node:
         self._busy_gauge = busy_gauge
         #: Set by the fault injector: a failed node stops making progress.
         self.failed = False
-        #: Straggler factor: compute timeouts run through
-        #: :meth:`run_scaled` take ``slowdown`` times as long while > 1.
+        #: Straggler factor: compute steps created through
+        #: :meth:`~repro.mpi.app.RankContext.compute` take ``slowdown``
+        #: times as long while > 1.
         self.slowdown = 1.0
         #: Count of processes started on this node (reports/tests).
         self.processes_started = 0
@@ -117,42 +118,6 @@ class Node:
                 self._busy_gauge.add(-1)
             if req is not None:
                 self.cores.release(req)
-
-    def run_scaled(self, gen: Generator) -> Generator:
-        """Delegate to ``gen``, stretching its compute by :attr:`slowdown`.
-
-        Application bodies (serial tasks, MPI ranks) run through this so a
-        straggler fault can rate-scale their compute: every plain
-        :class:`~repro.simkernel.Timeout` the body yields is replaced by
-        one ``slowdown`` times as long, sampled at the moment the body
-        yields it (a mid-task slowdown change applies from the next
-        compute step on).  Non-timeout events — communication, barriers,
-        resource waits — pass through untouched, and at the default
-        ``slowdown == 1.0`` the delegation is observably identical to
-        ``yield from gen``.
-        """
-        try:
-            ev = gen.send(None)
-        except StopIteration as stop:
-            return stop.value
-        while True:
-            factor = self.slowdown
-            if factor != 1.0 and isinstance(ev, Timeout) and ev.delay > 0:
-                # The original timeout still fires on schedule but nobody
-                # waits on it; the body's progress tracks the stretched one.
-                ev = self.env.timeout(ev.delay * factor)
-            try:
-                value = yield ev
-            except BaseException as exc:  # Interrupt / failed-event path
-                try:
-                    ev = gen.throw(exc)
-                except StopIteration as stop:
-                    return stop.value
-                continue
-            try:
-                ev = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
 
     def stage(self, image: ExecutableImage) -> None:
         """Instantly register an image (and its libraries) in the RAM FS.

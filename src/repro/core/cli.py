@@ -40,11 +40,10 @@ registry and lifecycle state machines.  ``jets sanitize`` layers the
 race/determinism sanitizer on top: the static HB/RS rules over the
 sources plus a dynamic happens-before pass (vector clocks over the live
 trace) with schedule-permutation confirmation of any race candidate
-(:mod:`repro.analysis.hbmodel`).  ``jets hotpath`` dumps the statically
-computed hot set (every function reachable from the kernel entry
-points, optionally unioned with a ``jets bench --profile`` profile) or
-explains one function's shortest entry→function call chain
-(:mod:`repro.analysis.callgraph`).  ``jets explore`` runs bounded
+(:mod:`repro.analysis.hbmodel`).  ``jets hotpath`` dumps the measured hot
+set the PF perf rules escalate on (the committed ``jets bench
+--profile`` output, :mod:`repro.analysis.perf_rules`) or reports
+whether one function is in it.  ``jets explore`` runs bounded
 schedule exploration: many event-order permutations (with injected
 worker loss) of a small configuration, each re-validated against the
 trace and wire-protocol checkers (:mod:`repro.analysis.explore`).

@@ -327,9 +327,7 @@ class WorkerAgent:
                     "serial": True,
                 },
             )
-            # Through the node's straggler scaler so an injected slowdown
-            # stretches this task's compute.
-            value = yield from self.node.run_scaled(job.program.run(ctx))
+            value = yield from job.program.run(ctx)
             return value
 
         try:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..oslayer.process import ExecutableImage
-from ..simkernel import Environment
+from ..simkernel import Environment, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
@@ -40,6 +40,19 @@ class RankContext:
     def pmi_rank(self) -> int:
         """PMI_RANK as provided to all levels of user programs."""
         return self.rank
+
+    def compute(self, delay: float) -> Timeout:
+        """A compute step of ``delay`` seconds on this rank's node.
+
+        A straggler fault stretches it by the node's ``slowdown``,
+        sampled now; communication and I/O are not compute and stay
+        unstretched.  At ``slowdown == 1.0`` this is exactly
+        ``env.timeout(delay)``.
+        """
+        slowdown = self.node.slowdown
+        return self.env.timeout(
+            delay if slowdown == 1.0 else delay * slowdown
+        )
 
 
 class MpiProgram:

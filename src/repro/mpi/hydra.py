@@ -494,9 +494,7 @@ def run_proxy(
                         node=node,
                         job_id=cmd.job_id,
                     )
-                    # Through the node's straggler scaler so an injected
-                    # slowdown stretches this rank's compute.
-                    value = yield from node.run_scaled(program.run(ctx))
+                    value = yield from program.run(ctx)
                     results[rank] = value
                     return value
                 except (Interrupt, MpiAbort):

@@ -106,6 +106,9 @@ class _LiteResult:
 class _LoginNodeView:
     """Node-like adapter for programs running on the login host."""
 
+    #: The login host takes no straggler faults.
+    slowdown = 1.0
+
     def __init__(self, platform: Platform):
         self.platform = platform
         self.node_id = platform.login_endpoint

@@ -1,11 +1,11 @@
 """Seeded hot/cold performance hazards for the PF001-PF007 rules.
 
 Loaded as *text* by the lint tests, never imported.  The ``# MARK:``
-comments pin the expected finding lines.  ``Environment.step`` matches
-the declared kernel entry patterns, so every function it reaches is on
-the hot path — hazards there must surface as *errors* tagged
-``[hot path]``; the module-level helpers at the bottom are unreachable
-from any entry, so the same hazards there stay *warnings*.
+comments pin the expected finding lines.  The tests install a hot set
+naming the ``Environment`` methods, as a measured profile would —
+hazards there must surface as *errors* tagged ``[hot path]``; the
+module-level helpers at the bottom are not in that set, so the same
+hazards there stay *warnings*.
 """
 
 import heapq
@@ -29,7 +29,7 @@ class SlottedRecord:
 
 
 class Environment:
-    """Fixture kernel: ``step`` is an entry root, so this is hot."""
+    """Fixture kernel: the tests' hot set names these methods."""
 
     def __init__(self, trace, workers):
         self.trace = trace
@@ -77,7 +77,7 @@ class Environment:
             self.queue.append(msg)
 
 
-# -- cold: same hazards, unreachable from any entry -> warnings ----------
+# -- cold: same hazards, outside the hot set -> warnings -----------------
 
 
 def cold_copy_loop(jobs, names):

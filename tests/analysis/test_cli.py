@@ -125,6 +125,17 @@ KERNEL_SRC = (
     "    pass\n"
 )
 
+#: A measured profile of KERNEL_SRC, in ``jets bench --profile`` layout.
+KERNEL_PROFILE = {
+    "schema": 1,
+    "kind": "profile",
+    "workloads": ["churn", "storm"],
+    "hot": {
+        "kernel:Environment.step": {"churn": 300},
+        "kernel:handle": {"churn": 1200, "storm": 40},
+    },
+}
+
 
 class TestHotpath:
     @pytest.fixture()
@@ -132,82 +143,88 @@ class TestHotpath:
         (tmp_path / "kernel.py").write_text(KERNEL_SRC)
         return tmp_path
 
-    def test_dump_lists_hot_set(self, kernel_dir, capsys):
+    @pytest.fixture()
+    def profile(self, tmp_path):
+        path = tmp_path / "BENCH_profile.json"
+        path.write_text(json.dumps(KERNEL_PROFILE))
+        return str(path)
+
+    def query(self, *argv):
         from repro.analysis.cli import hotpath_main
 
-        assert hotpath_main(["--path", str(kernel_dir)]) == 0
+        return hotpath_main(list(argv))
+
+    def test_dump_lists_hot_set(self, profile, capsys):
+        assert self.query("--hot-profile", profile) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["kernel:Environment.step", "kernel:handle"]
+        assert "2 functions on the hot path" in lines[2]
+
+    def test_explain_hot_function(self, kernel_dir, profile, capsys):
+        assert self.query(
+            "handle", "--path", str(kernel_dir), "--hot-profile", profile
+        ) == 0
         out = capsys.readouterr().out
-        assert "kernel:Environment.step" in out
-        assert "entry:Environment.step" in out
-        assert "kernel:handle" in out
-        assert "kernel:cold" not in out
+        assert "kernel:handle: HOT" in out
+        assert "churn 1,200 calls, storm 40 calls" in out
 
-    def test_explain_hot_function(self, kernel_dir, capsys):
-        from repro.analysis.cli import hotpath_main
-
-        assert hotpath_main(["handle", "--path", str(kernel_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "HOT" in out and "Environment.step" in out
-
-    def test_cold_function_exits_one(self, kernel_dir, capsys):
-        from repro.analysis.cli import hotpath_main
-
-        assert hotpath_main(["cold", "--path", str(kernel_dir)]) == 1
+    def test_cold_function_exits_one(self, kernel_dir, profile, capsys):
+        assert self.query(
+            "cold", "--path", str(kernel_dir), "--hot-profile", profile
+        ) == 1
         assert "NOT on the hot path" in capsys.readouterr().out
 
-    def test_unknown_function_exits_two(self, kernel_dir, capsys):
-        from repro.analysis.cli import hotpath_main
-
-        assert hotpath_main(["nope", "--path", str(kernel_dir)]) == 2
+    def test_unknown_function_exits_two(self, kernel_dir, profile, capsys):
+        assert self.query(
+            "nope", "--path", str(kernel_dir), "--hot-profile", profile
+        ) == 2
         assert "no function matches" in capsys.readouterr().err
 
-    def test_json_dump_shape(self, kernel_dir, capsys):
-        from repro.analysis.cli import hotpath_main
+    def test_bad_hot_set_exits_two(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("{}")
+        assert self.query("--hot-profile", str(bogus)) == 2
+        assert "bad hot set" in capsys.readouterr().err
 
-        assert hotpath_main(
-            ["--path", str(kernel_dir), "--format", "json"]
-        ) == 0
+    def test_json_dump_shape(self, profile, capsys):
+        assert self.query("--hot-profile", profile, "--format", "json") == 0
         doc = json.loads(capsys.readouterr().out)
-        assert "kernel:Environment.step" in doc["hot"]
-        assert doc["roots"]["kernel:Environment.step"].startswith("entry:")
+        assert doc == {
+            "source": profile,
+            "hot": ["kernel:Environment.step", "kernel:handle"],
+        }
 
-    def test_profile_widens_hot_set(self, kernel_dir, tmp_path, capsys):
-        from repro.analysis.cli import hotpath_main
+    def test_hot_profile_replaces_committed_set(self, profile, capsys):
+        assert self.query() == 0
+        assert "repro.simkernel.core:Environment.run" in (
+            capsys.readouterr().out
+        )
+        assert self.query("--hot-profile", profile) == 0
+        assert "repro." not in capsys.readouterr().out
 
-        profile = tmp_path / "BENCH_profile.json"
-        profile.write_text(json.dumps({
-            "workloads": {"wl": [{"id": "kernel:cold", "cumtime": 1.0}]}
-        }))
-        assert hotpath_main([
-            "cold", "--path", str(kernel_dir),
-            "--hot-profile", str(profile),
-        ]) == 0
-        assert "profile" in capsys.readouterr().out
-
-    def test_repo_hot_set_contains_kernel_entries(self, capsys):
-        """The acceptance contract: the real src/ hot set holds the
-        kernel loop, the store dispatch, and the dispatcher handlers."""
+    def test_committed_hot_set_resolves_to_defs(self):
+        """Staleness: every committed id names a def under src/, so a
+        rename or deletion forces the hot set to be regenerated."""
         from pathlib import Path
 
         import repro
-
-        from repro.analysis.cli import hotpath_main
+        from repro.analysis.cli import _defined_ids
+        from repro.analysis.perf_rules import committed_hot_set
 
         src = str(Path(repro.__file__).parent)
-        assert hotpath_main(["--path", src]) == 0
-        out = capsys.readouterr().out
+        hot = committed_hot_set()
+        assert not hot - _defined_ids([src])
         for needle in (
-            "repro.simkernel.core:Environment.step",
-            "repro.simkernel.resources:Store._dispatch",
+            "repro.simkernel.core:Environment.run",
+            "repro.simkernel.resources:Store.put",
             "repro.core.dispatcher:JetsDispatcher._handle_worker",
-            "repro.core.dispatcher:JetsDispatcher._scheduler_loop",
         ):
-            assert needle in out
+            assert needle in hot
 
-    def test_jets_cli_dispatches_hotpath(self, kernel_dir, capsys):
+    def test_jets_cli_dispatches_hotpath(self, profile, capsys):
         from repro.core.cli import main
 
-        assert main(["hotpath", "--path", str(kernel_dir)]) == 0
+        assert main(["hotpath", "--hot-profile", profile]) == 0
         assert "hot path" in capsys.readouterr().out
 
 
@@ -242,7 +259,7 @@ class TestLintHotProfile:
         )
         profile = tmp_path / "BENCH_profile.json"
         profile.write_text(json.dumps({
-            "workloads": {"wl": [{"id": "cold:cold_loop"}]}
+            "hot": {"cold:cold_loop": {"wl": 12}}
         }))
         assert lint_main([
             str(target), "--select", "PF002", "--format", "json",

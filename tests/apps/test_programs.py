@@ -18,9 +18,11 @@ from repro.mpi.comm import SimComm
 from repro.mpi.app import RankContext
 
 
-def run_program(program, n_ranks=2, nodes=None):
-    """Run a program's ranks directly over a SimComm (no JETS)."""
+def run_program(program, n_ranks=2, nodes=None, slowdown=1.0):
+    """Run a program's ranks directly over a SimComm (no JETS); rank 0's
+    node straggles by ``slowdown``."""
     platform = Platform(generic_cluster(nodes=max(2, n_ranks)))
+    platform.node(0).slowdown = slowdown
     env = platform.env
     endpoints = list(range(n_ranks))
     comm = SimComm(env, platform.fabric, endpoints)
@@ -54,6 +56,15 @@ class TestSyntheticPrograms:
         env, results = run_program(SleepProgram(2.5), n_ranks=1)
         assert env.now == pytest.approx(2.5)
         assert results == [0]
+
+    def test_straggler_stretches_compute_only(self):
+        env, _ = run_program(SleepProgram(2.5), n_ranks=1, slowdown=3.0)
+        assert env.now == pytest.approx(7.5)
+        # The barriers around the sleep cost what they cost at full
+        # speed: only rank 0's 2 s of compute becomes 6 s.
+        base, _ = run_program(BarrierSleepBarrier(2.0))
+        slow, _ = run_program(BarrierSleepBarrier(2.0), slowdown=3.0)
+        assert slow.now - base.now == pytest.approx(4.0)
 
     def test_sleep_rejects_negative(self):
         with pytest.raises(ValueError):
