@@ -9,10 +9,14 @@ asynchronous system could exhibit — and half the schedules additionally
 inject a worker kill at a schedule-derived time (the registered-but-not-
 ready window, mid-``run_proxy`` wire-up, mid-application, ...).
 
-After every schedule three oracles must hold:
+Each schedule is one :func:`repro.core.chaos.smoke_run`, the run
+``jets chaos`` uses, without recovery or staging; the kill is a
+scheduled ``worker_kill`` clause.  After every schedule the smoke run's
+oracles must hold:
 
 1. the run **drains** (every job completes or permanently fails — no
-   lost wakeup or stuck queue under any interleaving),
+   lost wakeup or stuck queue under any interleaving) and every job
+   settles exactly once,
 2. the recorded trace passes the ``lint-trace`` validators (schema +
    lifecycle machines, :mod:`.tracecheck`),
 3. the wire traffic captured by a network tap satisfies the per-channel
@@ -30,9 +34,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..simkernel import Environment, SeededOrder
-from .protocol import SessionValidator, WireMessage, wire_message
-from .tracecheck import TraceValidator
+from ..simkernel import SeededOrder, derive_seed
+from .protocol import WireMessage, wire_message
 
 __all__ = [
     "ExploreConfig",
@@ -119,111 +122,27 @@ def wire_messages(events) -> list[WireMessage]:
     return out
 
 
-def _derive_seed(base: int, index: int) -> int:
-    # Schedule 0 keeps the FIFO baseline (SeededOrder(0) never permutes);
-    # later schedules get well-separated xorshift streams.
-    if index == 0 and base == 0:
-        return 0
-    return (base * 1_000_003 + index) & ((1 << 63) - 1) or 1
-
-
 def run_schedule(
     config: ExploreConfig, index: int, attach=None
 ) -> ScheduleResult:
     """Execute and validate one schedule of the smoke configuration.
 
-    ``attach(env, platform)``, when given, is called after the standard
-    validators are wired but before any workload starts — the hook the
-    sanitizer uses to ride a
-    :class:`~repro.analysis.hbmodel.HappensBeforeChecker` (or any other
-    observer) along an explored schedule.  Observers must be
-    observation-only; the schedule itself is fully determined by
-    ``config`` and ``index``.
+    The run is :func:`repro.core.chaos.smoke_run` with no recovery and
+    no staging.  Odd schedules inject one worker loss as a scheduled
+    ``worker_kill`` clause at a schedule-derived point: the draw sweeps
+    the kill across the register/ready window, the ``run_proxy`` wire-up
+    and the application phase as schedules vary.  ``attach(env,
+    platform)`` is passed through (see ``smoke_run``); the schedule
+    itself is fully determined by ``config`` and ``index``.
     """
     # Imported here: the analysis layer stays importable without pulling
     # the whole middleware stack in for the static rules.
-    from ..apps.synthetic import BarrierSleepBarrier, SleepProgram
-    from ..cluster.machine import generic_cluster
-    from ..cluster.platform import Platform
-    from ..core.dispatcher import JetsDispatcher, JetsServiceConfig
-    from ..core.tasklist import JobSpec
-    from ..core.worker import WorkerAgent
-    from ..obs.export import CanonicalDigest
+    from ..core.chaos import FaultClause, FaultPlan, smoke_run
 
-    seed = _derive_seed(config.seed, index)
-    env = Environment(order=SeededOrder(seed))
-    platform = Platform(
-        generic_cluster(
-            nodes=config.workers, cores_per_node=config.cores_per_node
-        ),
-        env=env,
-        seed=seed,
-    )
-    # Oracles 2 and 3 validate *as the run streams*: the trace validator
-    # subscribes to the platform trace and the session validator is the
-    # network tap itself, so neither needs the full record/message list
-    # retained (the trace sink may window-and-spill underneath them).
-    trace_validator = TraceValidator()
-    platform.trace.subscribe(trace_validator.feed)
-    sessions = SessionValidator()
-    platform.network.add_tap(sessions.tap)
-    digest = CanonicalDigest()
-    platform.trace.subscribe(digest.feed)
-    if attach is not None:
-        attach(env, platform)
-
-    dispatcher = JetsDispatcher(
-        platform,
-        JetsServiceConfig(heartbeat_interval=config.heartbeat),
-        expected_workers=config.workers,
-    )
-    dispatcher.start()
-    agents = [
-        WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            heartbeat_interval=config.heartbeat,
-            worker_id=i,
-        )
-        for i, node in enumerate(platform.nodes)
-    ]
-    for agent in agents:
-        agent.start()
-
-    # Explicit job ids: the default JobSpec ids draw from a process-wide
-    # counter, which would make the outcome digest depend on how many
-    # specs this *process* built before — a schedule must be a pure
-    # function of (config, index) for digest comparison to mean anything.
-    jobs = []
-    for i in range(config.serial_tasks):
-        jobs.append(
-            JobSpec(
-                program=SleepProgram(0.3 + 0.2 * (i % 3)),
-                nodes=1,
-                mpi=False,
-                max_attempts=config.max_attempts,
-                job_id=f"job{i}",
-            )
-        )
-    for i in range(config.mpi_tasks):
-        jobs.append(
-            JobSpec(
-                program=BarrierSleepBarrier(0.8),
-                nodes=config.mpi_nodes,
-                ppn=config.cores_per_node,
-                mpi=True,
-                max_attempts=config.max_attempts,
-                job_id=f"job{config.serial_tasks + i}",
-            )
-        )
-    dispatcher.submit_many(jobs)
-
-    # Odd schedules inject one worker loss at a schedule-derived point:
-    # the draw sweeps the kill across the register/ready window, the
-    # run_proxy wire-up and the application phase as schedules vary.
+    seed = derive_seed(config.seed, index)
     killed_worker: Optional[int] = None
     kill_time: Optional[float] = None
+    clauses: tuple[FaultClause, ...] = ()
     if config.faults and index % 2 == 1:
         draw = SeededOrder(
             (seed * 0x9E3779B97F4A7C15 + 0x5DEECE66D) & ((1 << 63) - 1) or 1
@@ -233,47 +152,31 @@ def run_schedule(
         # The window spans register/ready, wire-up and app phases of an
         # unperturbed run (which drains in ~1.6 sim-seconds).
         kill_time = 0.02 + 1.6 * draw.draw()
-        victim = draw.pick(len(agents))
-        killed_worker = agents[victim].worker_id
-
-        def killer(agent=agents[victim], at=kill_time):
-            yield env.timeout(at)
-            if agent.alive:
-                platform.trace.log(
-                    "fault.kill", {"worker": agent.worker_id}
-                )
-                agent.kill()
-
-        env.process(killer(), name="explore-kill")
-
-    watchdog = env.timeout(config.until)
-    env.run(env.any_of([dispatcher.drained, watchdog]))
-    drained = dispatcher.drained.triggered
-    if drained:
-        # Exercise the shutdown path in every schedule, then let the
-        # shutdown messages and worker teardown drain.
-        env.process(dispatcher.shutdown_workers(), name="explore-shutdown")
-        env.run(until=env.now + 10 * config.heartbeat + 1.0)
-
-    result = ScheduleResult(
+        # Worker ids follow node order within a run, so the victim's
+        # node index is also its worker id.
+        killed_worker = draw.pick(config.workers)
+        clauses = (
+            FaultClause(
+                kind="worker_kill",
+                mode="scheduled",
+                times=(kill_time,),
+                nodes=(killed_worker,),
+            ),
+        )
+    run = smoke_run(
+        config, index, FaultPlan(clauses, name=f"schedule{index}"),
+        attach=attach,
+    )
+    return ScheduleResult(
         index=index,
         seed=seed,
         killed_worker=killed_worker,
         kill_time=kill_time,
-        drained=drained,
-        wire_count=sessions.seen,
-        digest=digest.hexdigest(),
+        drained=run.drained,
+        wire_count=run.wire_count,
+        problems=run.problems,
+        digest=run.digest,
     )
-    if not drained:
-        result.problems.append(
-            f"run did not drain within {config.until} sim-seconds "
-            f"({dispatcher.jobs_finished}/{dispatcher.jobs_submitted} jobs)"
-        )
-    for issue in trace_validator.issues:
-        result.problems.append(f"lint-trace: {issue.render()}")
-    for problem in sessions.finish():
-        result.problems.append(f"protocol: {problem}")
-    return result
 
 
 def explore(config: ExploreConfig, progress=None) -> ExploreReport:

@@ -8,6 +8,10 @@ regression versus a saved baseline::
     jets bench --suite kernel       # one suite
     jets bench --quick              # CI smoke sizes
     jets bench --against BENCH_macro.json --threshold 30
+    jets bench --suite macro --quick --profile --out-dir /tmp/hot
+
+``--profile`` runs only the cProfile pass and writes only
+``BENCH_profile.json``; it never touches a ``BENCH_<suite>.json``.
 
 Exit codes: 0 ok, 1 regression detected, 2 usage/IO error.
 """
@@ -95,12 +99,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="after the timed pass, run each workload once more under "
-        "cProfile and write BENCH_profile.json: the hot set, i.e. the "
-        "project functions called at least once per 256 kernel events "
-        "or holding at least 1%% of the self time (what `jets lint` "
-        "escalates on). Profiled numbers never enter the timed "
-        "results, so baselines stay comparable",
+        help="instead of the timed pass, run each workload once under "
+        "cProfile and write only BENCH_profile.json: the hot set, i.e. "
+        "the project functions called at least once per 256 kernel "
+        "events or holding at least 1%% of the self time (what `jets "
+        "lint` escalates on). Cannot be combined with --against or "
+        "--rss-budget-mb",
     )
     parser.add_argument(
         "--rss-budget-mb",
@@ -132,6 +136,15 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
     """``jets bench`` entry point; returns the process exit code."""
     args = build_bench_parser().parse_args(argv)
     suites = sorted(SUITES) if args.suite == "all" else [args.suite]
+    if args.profile and (
+        args.against is not None or args.rss_budget_mb is not None
+    ):
+        print(
+            "jets bench: --profile runs no timed pass, so it cannot gate "
+            "(--against, --rss-budget-mb)",
+            file=sys.stderr,
+        )
+        return 2
 
     baseline = None
     if args.against is not None:
@@ -150,8 +163,23 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
+    if args.profile:
+        profiled: dict[str, tuple[dict[str, int], set[str]]] = {}
+        for suite in suites:
+            print(f"profiling {suite}{' (quick)' if args.quick else ''}...")
+            try:
+                profiled.update(
+                    profile_suite(suite, quick=args.quick, only=args.only)
+                )
+            except KeyError as exc:
+                print(f"jets bench: {exc.args[0]}", file=sys.stderr)
+                return 2
+        profile_path = os.path.join(args.out_dir, "BENCH_profile.json")
+        write_profile(profiled, profile_path, quick=args.quick)
+        print(f"wrote {profile_path} ({len(profiled)} workloads)")
+        return 0
+
     exit_code = 0
-    profiled: dict[str, tuple[dict[str, int], set[str]]] = {}
     for suite in suites:
         print(f"suite {suite}{' (quick)' if args.quick else ''}:")
         try:
@@ -202,15 +230,6 @@ def bench_main(argv: Optional[Sequence[str]] = None) -> int:
                         file=sys.stderr,
                     )
                     exit_code = 1
-        if args.profile:
-            print(f"  profiling {suite}...")
-            profiled.update(
-                profile_suite(suite, quick=args.quick, only=args.only)
-            )
-    if args.profile:
-        profile_path = os.path.join(args.out_dir, "BENCH_profile.json")
-        write_profile(profiled, profile_path, quick=args.quick)
-        print(f"wrote {profile_path} ({len(profiled)} workloads)")
     return exit_code
 
 

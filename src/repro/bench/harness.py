@@ -200,6 +200,24 @@ def run_workload(
     return result
 
 
+def _select(suite: str, only: Optional[list[str]]) -> list[Workload]:
+    """The suite's workloads in declaration order, restricted to ``only``;
+    ``KeyError`` names an unknown suite or workload."""
+    workloads = SUITES.get(suite)
+    if workloads is None:
+        raise KeyError(f"unknown bench suite {suite!r}")
+    if only:
+        names = {wl.name for wl in workloads}
+        unknown = [n for n in only if n not in names]
+        if unknown:
+            raise KeyError(
+                f"unknown workload(s) in suite {suite!r}: "
+                + ", ".join(sorted(unknown))
+            )
+        workloads = [wl for wl in workloads if wl.name in set(only)]
+    return workloads
+
+
 def run_suite(
     suite: str,
     quick: bool = False,
@@ -214,20 +232,8 @@ def run_suite(
     job uses it so peak RSS (a process-wide high-water mark) reflects a
     single workload rather than everything that ran before it.
     """
-    workloads = SUITES.get(suite)
-    if workloads is None:
-        raise KeyError(f"unknown bench suite {suite!r}")
-    if only:
-        names = {wl.name for wl in workloads}
-        unknown = [n for n in only if n not in names]
-        if unknown:
-            raise KeyError(
-                f"unknown workload(s) in suite {suite!r}: "
-                + ", ".join(sorted(unknown))
-            )
-        workloads = [wl for wl in workloads if wl.name in set(only)]
     run = SuiteRun(suite=suite, quick=quick, repeats=repeats)
-    for wl in workloads:
+    for wl in _select(suite, only):
         result = run_workload(wl, quick=quick, memory=memory, repeats=repeats)
         run.results.append(result)
         if progress is not None:
@@ -470,12 +476,10 @@ def profile_suite(
     suite: str, quick: bool = False, only: Optional[list[str]] = None
 ) -> dict[str, tuple[dict[str, int], set[str]]]:
     """Profile every workload of a suite; name -> (calls, hot ids)."""
-    workloads = SUITES.get(suite)
-    if workloads is None:
-        raise KeyError(f"unknown bench suite {suite!r}")
-    if only:
-        workloads = [wl for wl in workloads if wl.name in set(only)]
-    return {wl.name: profile_workload(wl, quick=quick) for wl in workloads}
+    return {
+        wl.name: profile_workload(wl, quick=quick)
+        for wl in _select(suite, only)
+    }
 
 
 def write_profile(

@@ -449,8 +449,8 @@ def _jobs_1m(quick: bool) -> dict:
     from ..cluster.machine import generic_cluster
     from ..cluster.platform import Platform
     from ..core.dispatcher import JetsDispatcher, JetsServiceConfig
+    from ..core.jets import start_pilots
     from ..core.tasklist import JobSpec
-    from ..core.worker import WorkerAgent
     from ..obs import session
 
     jobs_n = _JOBS_1M_QUICK if quick else _JOBS_1M_FULL
@@ -465,13 +465,7 @@ def _jobs_1m(quick: bool) -> dict:
         dispatcher = JetsDispatcher(
             platform, JetsServiceConfig(), expected_workers=8
         )
-        dispatcher.start()
-        agents = [
-            WorkerAgent(platform, node, dispatcher.endpoint)
-            for node in platform.nodes
-        ]
-        for agent in agents:
-            agent.start()
+        start_pilots(dispatcher, platform.nodes)
         env = platform.env
         done = env.event()
 

@@ -9,6 +9,7 @@ all compute nodes, and the login host — plus machine-wide instrumentation
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from ..netsim.fabric import Fabric
@@ -42,6 +43,9 @@ class Platform:
         self.spec = spec
         self.env = env if env is not None else Environment()
         self.rng = RngRegistry(seed)
+        #: Pilot-id stream: every platform numbers its workers from 0, so
+        #: a run's trace does not depend on what else this process ran.
+        self.worker_ids = itertools.count()
         # The ambient session may supply a streaming (windowed/spilling)
         # sink; absent one — or outside any session — the default stays
         # the fully-indexed in-RAM Trace.

@@ -22,12 +22,12 @@ a *declarative* engine:
   :mod:`repro.analysis.schema`.
 
 ``jets chaos`` (:func:`chaos_main`) runs campaigns of generated plans
-against the explore smoke configuration with the recovery machinery
-(:mod:`repro.core.recovery`) enabled, and holds every run to the same
-oracles as ``jets explore``: the run must drain, the trace must pass the
-``lint-trace`` validators, the tapped wire traffic must satisfy the
-protocol session machines, and job accounting must balance (done +
-permanently failed == submitted).
+with the recovery machinery (:mod:`repro.core.recovery`) enabled.  Each
+plan is one :func:`smoke_run`, the seeded run ``jets explore`` also
+uses, and is held to its oracles: the run must drain, the trace must
+pass the ``lint-trace`` validators, the tapped wire traffic must
+satisfy the protocol session machines, and job accounting must balance
+(done + permanently failed == submitted).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Generator, Optional, Sequence
 
 from ..analysis.protocol import SessionValidator, channel_for_service
 from ..analysis.tracecheck import TraceValidator
-from ..simkernel import Environment, SeededOrder
+from ..simkernel import Environment, SeededOrder, derive_seed
 
 __all__ = [
     "FAULT_KINDS",
@@ -51,6 +51,7 @@ __all__ = [
     "PlanResult",
     "ChaosReport",
     "plan_for_index",
+    "smoke_run",
     "run_chaos_plan",
     "chaos_campaign",
     "chaos_main",
@@ -502,6 +503,9 @@ class PlanResult:
     jobs_failed: int
     jobs_submitted: int
     problems: list[str] = field(default_factory=list)
+    #: Canonical outcome digest (same-timestamp order-insensitive); two
+    #: runs with equal digests were observably equivalent.
+    digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -530,14 +534,6 @@ class ChaosReport:
             for kind, count in result.injected.items():
                 totals[kind] += count
         return totals
-
-
-def _derive_seed(base: int, index: int) -> int:
-    # Same derivation as jets explore: plan 0 of seed 0 keeps the FIFO
-    # baseline ordering; later plans get well-separated streams.
-    if index == 0 and base == 0:
-        return 0
-    return (base * 1_000_003 + index) & ((1 << 63) - 1) or 1
 
 
 def _clause_for(kind: str, index: int, slot: int, window_hi: float) -> FaultClause:
@@ -598,24 +594,42 @@ def plan_for_index(index: int, fault_window: float = 30.0) -> FaultPlan:
     return FaultPlan(clauses=clauses, name=f"plan{index}-" + "+".join(kinds))
 
 
-def run_chaos_plan(
-    config: ChaosConfig, index: int, plan: Optional[FaultPlan] = None
+def smoke_run(
+    config,
+    index: int,
+    plan: FaultPlan,
+    recovery=None,
+    staging: bool = False,
+    attach=None,
 ) -> PlanResult:
-    """Execute and validate one chaos plan on the smoke configuration."""
-    # Imported here, like explore: keeps module import light for the CLI.
+    """Execute and validate one seeded run of the smoke configuration.
+
+    The shared body of ``jets chaos`` and ``jets explore``.  ``config``
+    (a :class:`ChaosConfig` or an
+    :class:`~repro.analysis.explore.ExploreConfig`) sizes a small generic
+    cluster and a fixed serial/MPI job mix; the run's seed, and with it
+    the permutation of simultaneous events, derives from ``config.seed``
+    and ``index``.  ``plan`` is injected through a :class:`ChaosEngine`.
+    A ``recovery`` policy also puts the fleet under a
+    :class:`~repro.core.recovery.PilotKeeper`; ``staging`` stages the
+    Hydra proxy at pilot start-up, which the ``staging`` fault targets.
+    ``attach(env, platform)`` is called once the oracles are wired and
+    before any workload starts: the hook the sanitizer uses to ride an
+    observer along the run.  Observers must not change the run.
+    """
+    # Imported here: keeps module import light for the CLI.
     from ..apps.synthetic import BarrierSleepBarrier, SleepProgram
     from ..cluster.machine import generic_cluster
     from ..cluster.platform import Platform
-    from ..core.dispatcher import JetsDispatcher, JetsServiceConfig
-    from ..core.recovery import PilotKeeper, RecoveryPolicy
-    from ..core.staging import StagingManager
-    from ..core.tasklist import JobSpec
-    from ..core.worker import WorkerAgent
     from ..mpi.hydra import PROXY_IMAGE
+    from ..obs.export import CanonicalDigest
+    from .dispatcher import JetsDispatcher, JetsServiceConfig
+    from .jets import drain, start_pilots
+    from .recovery import PilotKeeper, RecoveryPolicy
+    from .staging import StagingManager
+    from .tasklist import JobSpec
 
-    if plan is None:
-        plan = plan_for_index(index, config.fault_window)
-    seed = _derive_seed(config.seed, index)
+    seed = derive_seed(config.seed, index)
     env = Environment(order=SeededOrder(seed))
     platform = Platform(
         generic_cluster(
@@ -626,13 +640,119 @@ def run_chaos_plan(
     )
     # Trace and protocol oracles run incrementally as the run streams —
     # the session validator *is* the network tap and the trace validator
-    # subscribes to the platform sink — so chaos campaigns stay bounded
-    # in memory even when the trace windows and spills underneath.
+    # subscribes to the platform sink — so campaigns stay bounded in
+    # memory even when the trace windows and spills underneath.
     trace_validator = TraceValidator()
     platform.trace.subscribe(trace_validator.feed)
     sessions = SessionValidator()
     platform.network.add_tap(sessions.tap)
+    digest = CanonicalDigest()
+    platform.trace.subscribe(digest.feed)
+    if attach is not None:
+        attach(env, platform)
 
+    dispatcher = JetsDispatcher(
+        platform,
+        JetsServiceConfig(
+            heartbeat_interval=config.heartbeat,
+            recovery=recovery or RecoveryPolicy(),
+        ),
+        expected_workers=config.workers,
+    )
+    stager = StagingManager(env, [PROXY_IMAGE]) if staging else None
+    keeper = None
+    if recovery is not None:
+        keeper = PilotKeeper(
+            platform,
+            dispatcher,
+            recovery,
+            staging=stager,
+            heartbeat_interval=config.heartbeat,
+        )
+    agents = start_pilots(
+        dispatcher, platform.nodes, staging=stager, keeper=keeper
+    )
+    if keeper is not None:
+        keeper.start()
+    engine = ChaosEngine(
+        platform,
+        keeper.live_agents if keeper is not None else lambda: agents,
+        staging=stager,
+    )
+    engine.start(plan)
+
+    # Explicit job ids: the default ids draw from a process-wide counter,
+    # and a run must be a pure function of (config, index).
+    jobs = [
+        JobSpec(
+            program=SleepProgram(0.3 + 0.2 * (i % 3)),
+            nodes=1,
+            mpi=False,
+            max_attempts=config.max_attempts,
+            job_id=f"job{i}",
+        )
+        for i in range(config.serial_tasks)
+    ]
+    jobs += [
+        JobSpec(
+            program=BarrierSleepBarrier(0.8),
+            nodes=config.mpi_nodes,
+            ppn=config.cores_per_node,
+            mpi=True,
+            max_attempts=config.max_attempts,
+            job_id=f"job{config.serial_tasks + i}",
+        )
+        for i in range(config.mpi_tasks)
+    ]
+    dispatcher.submit_many(jobs)
+
+    end = drain(
+        dispatcher,
+        config.until,
+        retire=(engine,) if keeper is None else (engine, keeper),
+    )
+    result = PlanResult(
+        index=index,
+        seed=seed,
+        plan=plan,
+        injected=dict(engine.injected),
+        respawns=keeper.respawns if keeper is not None else 0,
+        drained=end.drained,
+        wire_count=sessions.seen,
+        jobs_ok=end.ok,
+        jobs_failed=end.failed,
+        jobs_submitted=dispatcher.jobs_submitted,
+        digest=digest.hexdigest(),
+    )
+    if not end.drained:
+        result.problems.append(
+            f"run did not drain within {config.until} sim-seconds "
+            f"({dispatcher.jobs_finished}/{dispatcher.jobs_submitted} jobs)"
+        )
+    # Accounting oracle: every submitted job is settled exactly once.
+    settled = [c.job.job_id for c in dispatcher.completed]
+    if len(settled) != len(set(settled)):
+        result.problems.append("accounting: a job settled more than once")
+    if end.drained and end.ok + end.failed != dispatcher.jobs_submitted:
+        result.problems.append(
+            f"accounting: done({end.ok}) + failed({end.failed}) != "
+            f"submitted({dispatcher.jobs_submitted})"
+        )
+    for issue in trace_validator.issues:
+        result.problems.append(f"lint-trace: {issue.render()}")
+    for problem in sessions.finish():
+        result.problems.append(f"protocol: {problem}")
+    return result
+
+
+def run_chaos_plan(
+    config: ChaosConfig, index: int, plan: Optional[FaultPlan] = None
+) -> PlanResult:
+    """Execute and validate one chaos plan, recovery and staging on."""
+    from .recovery import RecoveryPolicy
+
+    if plan is None:
+        plan = plan_for_index(index, config.fault_window)
     recovery = RecoveryPolicy(
         backoff_base=0.05,
         backoff_factor=2.0,
@@ -645,103 +765,7 @@ def run_chaos_plan(
         quarantine_period=5.0,
         zombie_grace=6.0,
     )
-    dispatcher = JetsDispatcher(
-        platform,
-        JetsServiceConfig(
-            heartbeat_interval=config.heartbeat, recovery=recovery
-        ),
-        expected_workers=config.workers,
-    )
-    dispatcher.start()
-    staging = StagingManager(env, [PROXY_IMAGE])
-    keeper = PilotKeeper(
-        platform,
-        dispatcher,
-        recovery,
-        staging=staging,
-        heartbeat_interval=config.heartbeat,
-    )
-    for node in platform.nodes:
-        agent = WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            staging=staging,
-            heartbeat_interval=config.heartbeat,
-        )
-        keeper.adopt(agent)
-        agent.start()
-    keeper.start()
-
-    engine = ChaosEngine(
-        platform, keeper.live_agents, staging=staging
-    )
-    engine.start(plan)
-
-    jobs = []
-    for i in range(config.serial_tasks):
-        jobs.append(
-            JobSpec(
-                program=SleepProgram(0.3 + 0.2 * (i % 3)),
-                nodes=1,
-                mpi=False,
-                max_attempts=config.max_attempts,
-            )
-        )
-    for _i in range(config.mpi_tasks):
-        jobs.append(
-            JobSpec(
-                program=BarrierSleepBarrier(0.8),
-                nodes=config.mpi_nodes,
-                ppn=config.cores_per_node,
-                mpi=True,
-                max_attempts=config.max_attempts,
-            )
-        )
-    dispatcher.submit_many(jobs)
-
-    watchdog = env.timeout(config.until)
-    env.run(env.any_of([dispatcher.drained, watchdog]))
-    drained = dispatcher.drained.triggered
-    if drained:
-        engine.stop()
-        keeper.stop()
-        env.process(dispatcher.shutdown_workers(), name="chaos-shutdown")
-        env.run(until=env.now + 10 * config.heartbeat + 1.0)
-
-    jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
-    jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
-    result = PlanResult(
-        index=index,
-        seed=seed,
-        plan=plan,
-        injected=dict(engine.injected),
-        respawns=keeper.respawns,
-        drained=drained,
-        wire_count=sessions.seen,
-        jobs_ok=jobs_ok,
-        jobs_failed=jobs_failed,
-        jobs_submitted=dispatcher.jobs_submitted,
-    )
-    if not drained:
-        result.problems.append(
-            f"run did not drain within {config.until} sim-seconds "
-            f"({dispatcher.jobs_finished}/{dispatcher.jobs_submitted} jobs)"
-        )
-    # Accounting oracle: every submitted job is settled exactly once.
-    settled = [c.job.job_id for c in dispatcher.completed]
-    if len(settled) != len(set(settled)):
-        result.problems.append("accounting: a job settled more than once")
-    if drained and jobs_ok + jobs_failed != dispatcher.jobs_submitted:
-        result.problems.append(
-            f"accounting: done({jobs_ok}) + failed({jobs_failed}) != "
-            f"submitted({dispatcher.jobs_submitted})"
-        )
-    for issue in trace_validator.issues:
-        result.problems.append(f"lint-trace: {issue.render()}")
-    for problem in sessions.finish():
-        result.problems.append(f"protocol: {problem}")
-    return result
+    return smoke_run(config, index, plan, recovery=recovery, staging=True)
 
 
 def chaos_campaign(config: ChaosConfig, progress=None) -> ChaosReport:

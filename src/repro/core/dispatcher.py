@@ -151,15 +151,16 @@ class JetsDispatcher:
         self.drained: Event = self.env.event()
         self._job_events: dict[str, Event] = {}
         self._submitting = False
-        self._started = False
+        #: True once :meth:`start` has bound the service.
+        self.started = False
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
         """Bind the service and start the accept/scheduler processes."""
-        if self._started:
+        if self.started:
             raise RuntimeError("dispatcher already started")
-        self._started = True
+        self.started = True
         self._listener = self.platform.network.listen(self.endpoint, self.service)
         self.env.process(self._accept_loop(), name="jets-accept")
         self.env.process(self._scheduler_loop(), name="jets-sched")

@@ -1,23 +1,29 @@
 """Stand-alone JETS: the ``jets`` tool facade (paper Section 5.1).
 
 :class:`Simulation` wires a full run together the way the real tool's
-start-up scripts do: obtain one large batch allocation, start a pilot
-worker on every node (staging the proxy/user binaries to local storage),
-start the central dispatcher, feed it the user's task list, wait for the
-batch to drain, and report utilization per the paper's Eq. (1).
+start-up scripts do: obtain one large batch allocation, start the
+central dispatcher and a pilot worker on every node (staging the
+proxy/user binaries to local storage), feed it the user's task list,
+wait for the batch to drain, and report utilization per the paper's
+Eq. (1).
+
+Every deployment in the repository brings JETS up through
+:func:`start_pilots`, and the campaign runs (chaos, explore, resume)
+wind it down through :func:`drain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, Iterable, Optional, Sequence
 
 from ..cluster.batch import BatchScheduler
 from ..cluster.machine import MachineSpec
+from ..cluster.node import Node
 from ..cluster.platform import Platform
 from ..mpi.hydra import PROXY_IMAGE
 from ..oslayer.process import ExecutableImage
-from ..simkernel import Environment
+from ..simkernel import Environment, Event
 from .dispatcher import CompletedJob, JetsDispatcher, JetsServiceConfig
 from .faults import FaultInjector
 from .staging import StagingManager
@@ -31,6 +37,10 @@ __all__ = [
     "StandaloneReport",
     "Simulation",
     "service_config_for",
+    "start_pilots",
+    "tally",
+    "DrainResult",
+    "drain",
 ]
 
 
@@ -51,6 +61,88 @@ def service_config_for(machine: MachineSpec, **overrides) -> JetsServiceConfig:
     params = dict(hydra=hydra)
     params.update(overrides)
     return JetsServiceConfig(**params)
+
+
+def start_pilots(
+    dispatcher: JetsDispatcher,
+    nodes: Iterable[Node],
+    slots: Optional[int] = None,
+    staging: Optional[StagingManager] = None,
+    keeper=None,
+) -> list[WorkerAgent]:
+    """Bring the pilot fleet up: the dispatcher, then one agent per node.
+
+    The dispatcher is started unless it already serves (a Coasters
+    service adds blocks to a running one).  Each agent dials the
+    dispatcher's endpoint and service name and heartbeats at its
+    configured interval; ``keeper`` (a
+    :class:`~repro.core.recovery.PilotKeeper`) adopts every agent
+    before it starts.
+    """
+    if not dispatcher.started:
+        dispatcher.start()
+    agents = []
+    for node in nodes:
+        agent = WorkerAgent(
+            dispatcher.platform,
+            node,
+            dispatcher.endpoint,
+            service=dispatcher.service,
+            slots=slots,
+            staging=staging,
+            heartbeat_interval=dispatcher.config.heartbeat_interval,
+        )
+        if keeper is not None:
+            keeper.adopt(agent)
+        agents.append(agent)
+        agent.start()
+    return agents
+
+
+def tally(dispatcher: JetsDispatcher) -> tuple[int, int]:
+    """``(ok, failed)`` counts of the jobs the dispatcher has settled."""
+    ok = sum(1 for c in dispatcher.completed if c.ok)
+    return ok, len(dispatcher.completed) - ok
+
+
+@dataclass(frozen=True, slots=True)
+class DrainResult:
+    """How a :func:`drain` ended."""
+
+    drained: bool
+    #: Sim time the run stopped at: drain, watchdog or stop event.
+    at: float
+    ok: int
+    failed: int
+
+
+def drain(
+    dispatcher: JetsDispatcher,
+    until: float,
+    stop: Optional[Event] = None,
+    retire: Sequence = (),
+) -> DrainResult:
+    """Run until the batch drains, ``until`` sim-seconds pass, or ``stop``.
+
+    On drain, every object in ``retire`` (a chaos engine, a pilot
+    keeper) is stopped, the pilots are shut down, and the run goes on
+    for ten heartbeats plus one second so the shutdown messages and the
+    worker teardown settle.
+    """
+    env = dispatcher.env
+    events = [dispatcher.drained, env.timeout(until)]
+    if stop is not None:
+        events.append(stop)
+    env.run(env.any_of(events))
+    at = env.now
+    drained = dispatcher.drained.triggered
+    if drained:
+        for part in retire:
+            part.stop()
+        env.process(dispatcher.shutdown_workers(), name="jets-shutdown")
+        heartbeat = dispatcher.config.heartbeat_interval
+        env.run(until=env.now + 10 * heartbeat + 1.0)
+    return DrainResult(drained, at, *tally(dispatcher))
 
 
 @dataclass(frozen=True)
@@ -200,20 +292,14 @@ class Simulation:
                 deadline._add_callback(
                     lambda _e: stop.succeed() if not stop.triggered else None
                 )
-            dispatcher.start()
-            staging = self._build_staging(platform.env, tasks)
-            for node in alloc.nodes:
-                agent = WorkerAgent(
-                    platform,
-                    node,
-                    dispatcher_endpoint=dispatcher.endpoint,
-                    service=dispatcher.service,
+            workers.extend(
+                start_pilots(
+                    dispatcher,
+                    alloc.nodes,
                     slots=self.config.worker_slots,
-                    staging=staging,
-                    heartbeat_interval=self.config.service.heartbeat_interval,
+                    staging=self._build_staging(platform.env, tasks),
                 )
-                workers.append(agent)
-                agent.start()
+            )
             if faults is not None:
                 injector = FaultInjector(
                     platform,
@@ -236,10 +322,10 @@ class Simulation:
         else:
             platform.env.run(proc)
         if journal is not None:
-            failed_n = sum(1 for c in dispatcher.completed if not c.ok)
+            ok_n, failed_n = tally(dispatcher)
             journal.run_end(
                 ok=dispatcher.drained.triggered and failed_n == 0,
-                completed=sum(1 for c in dispatcher.completed if c.ok),
+                completed=ok_n,
                 failed=failed_n,
             )
             journal.close()

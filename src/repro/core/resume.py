@@ -294,13 +294,6 @@ def _machine_for(meta: dict):
     return builder().scaled(nodes)
 
 
-def _segment_seed(base: int, segment: int) -> int:
-    """Seed for a resume segment: distinct per segment, deterministic."""
-    if segment == 0:
-        return base
-    return (base * 1_000_003 + segment) & ((1 << 63) - 1) or 1
-
-
 @dataclass
 class ResumeReport:
     """Outcome of one ``jets resume``."""
@@ -358,11 +351,10 @@ def resume_run(
     from ..analysis.tracecheck import TraceValidator
     from ..cluster.platform import Platform
     from ..mpi.hydra import PROXY_IMAGE
-    from ..simkernel import Environment, SeededOrder
+    from ..simkernel import Environment, SeededOrder, derive_seed
     from .dispatcher import JetsDispatcher
-    from .jets import service_config_for
+    from .jets import drain, service_config_for, start_pilots
     from .staging import StagingManager
-    from .worker import WorkerAgent
 
     ledger = load_ledger(path)
     if not ledger.meta:
@@ -385,7 +377,9 @@ def resume_run(
 
     machine = _machine_for(ledger.meta)
     base_seed = int(ledger.meta.get("seed", 0))
-    seed = _segment_seed(base_seed, ledger.segments)
+    # Every resume is segment 1 or later, so its seed differs from the
+    # original run's and from every other segment's.
+    seed = derive_seed(base_seed, ledger.segments)
     env = Environment(order=SeededOrder(seed))
     platform = Platform(machine, env=env, seed=seed)
     trace_validator = None
@@ -416,7 +410,6 @@ def resume_run(
     dispatcher = JetsDispatcher(
         platform, service, expected_workers=machine.nodes, journal=journal
     )
-    dispatcher.start()
     staging = None
     if ledger.meta.get("stage", True):
         images = {PROXY_IMAGE.name: PROXY_IMAGE}
@@ -424,18 +417,7 @@ def resume_run(
             img = spec.program.image
             images.setdefault(img.name, img)
         staging = StagingManager(env, images.values())
-    workers = []
-    for node in platform.nodes:
-        agent = WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            slots=slots,
-            staging=staging,
-            heartbeat_interval=service.heartbeat_interval,
-        )
-        workers.append(agent)
-        agent.start()
+    start_pilots(dispatcher, platform.nodes, slots=slots, staging=staging)
 
     platform.trace.log(
         "resume.begin",
@@ -456,18 +438,9 @@ def resume_run(
         )
     dispatcher.submit_many(specs)
 
-    watchdog = env.timeout(until)
-    env.run(env.any_of([dispatcher.drained, watchdog]))
-    drained = dispatcher.drained.triggered
-    if drained:
-        env.process(dispatcher.shutdown_workers(), name="resume-shutdown")
-        env.run(until=env.now + 10 * service.heartbeat_interval + 1.0)
-    jobs_ok = sum(1 for c in dispatcher.completed if c.ok)
-    jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
+    end = drain(dispatcher, until)
     journal.run_end(
-        ok=drained and jobs_failed == 0,
-        completed=jobs_ok,
-        failed=jobs_failed,
+        ok=end.drained and end.failed == 0, completed=end.ok, failed=end.failed
     )
     journal.close()
 
@@ -479,11 +452,11 @@ def resume_run(
         skipped_done=skipped_done,
         skipped_failed=skipped_failed,
         resubmitted_ids=tuple(spec.job_id for spec in specs),
-        jobs_ok=jobs_ok,
-        jobs_failed=jobs_failed,
-        drained=drained,
+        jobs_ok=end.ok,
+        jobs_failed=end.failed,
+        drained=end.drained,
     )
-    if not drained:
+    if not end.drained:
         report.problems.append(
             f"resumed run did not drain within {until} sim-seconds "
             f"({dispatcher.jobs_finished}/{dispatcher.jobs_submitted} jobs)"
@@ -575,7 +548,7 @@ def _campaign_run(
     from ..simkernel import Environment, SeededOrder
     from .chaos import ChaosEngine, FaultClause, FaultPlan
     from .dispatcher import JetsDispatcher, JetsServiceConfig
-    from .worker import WorkerAgent
+    from .jets import drain, start_pilots
 
     tasks = TaskList.from_lines(_campaign_lines(config))
     # The default job_id sequence is process-global, so re-parsing the
@@ -609,17 +582,7 @@ def _campaign_run(
         expected_workers=config.nodes,
         journal=journal,
     )
-    dispatcher.start()
-    workers = []
-    for node in platform.nodes:
-        agent = WorkerAgent(
-            platform,
-            node,
-            dispatcher.endpoint,
-            heartbeat_interval=dispatcher.config.heartbeat_interval,
-        )
-        workers.append(agent)
-        agent.start()
+    workers = start_pilots(dispatcher, platform.nodes)
     engine = None
     if crash_at is not None:
         engine = ChaosEngine(platform, lambda: workers)
@@ -637,33 +600,23 @@ def _campaign_run(
         )
     dispatcher.submit_many(tasks)
 
-    events = [dispatcher.drained, env.timeout(config.until)]
-    if engine is not None:
-        events.append(engine.crashed)
-    env.run(env.any_of(events))
-    drained = dispatcher.drained.triggered
-    if engine is not None and engine.crashed.triggered and not drained:
+    end = drain(
+        dispatcher,
+        config.until,
+        stop=None if engine is None else engine.crashed,
+        retire=() if engine is None else (engine,),
+    )
+    if engine is not None and engine.crashed.triggered and not end.drained:
         journal.abandon()  # dispatcher death: the unflushed tail is lost
-        return None, True, env.now
-    t_drain = env.now
-    if engine is not None:
-        engine.stop()
-    if drained:
-        env.process(dispatcher.shutdown_workers(), name="campaign-shutdown")
-        env.run(
-            until=env.now + 10 * dispatcher.config.heartbeat_interval + 1.0
-        )
-    jobs_failed = sum(1 for c in dispatcher.completed if not c.ok)
+        return None, True, end.at
     journal.run_end(
-        ok=drained and jobs_failed == 0,
-        completed=sum(1 for c in dispatcher.completed if c.ok),
-        failed=jobs_failed,
+        ok=end.drained and end.failed == 0, completed=end.ok, failed=end.failed
     )
     journal.close()
     accounting = {
         c.job.job_id: (c.ok, c.job.attempts) for c in dispatcher.completed
     }
-    return accounting, False, t_drain
+    return accounting, False, end.at
 
 
 def _check_equivalence(

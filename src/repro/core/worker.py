@@ -16,7 +16,6 @@ the provided allocation scripts, Fig. 4 step ②).  It is persistent —
 
 from __future__ import annotations
 
-import itertools
 from typing import Generator, Optional
 
 from ..analysis import protocol as wire
@@ -36,8 +35,6 @@ __all__ = ["WorkerAgent", "WORKER_IMAGE"]
 #: The worker script/binary (itself staged or read from shared FS once).
 WORKER_IMAGE = ExecutableImage("jets-worker", 300 << 10)
 
-_worker_seq = itertools.count()
-
 
 class WorkerAgent:
     """A pilot job on one node.
@@ -54,11 +51,8 @@ class WorkerAgent:
         ready_delay: pause between ``register`` and the first ``ready``
             (models slow slot bring-up; lets fault tests target the
             registered-but-not-ready window).
-        worker_id: explicit id; by default ids draw from a process-wide
-            sequence.  Reproducibility harnesses (schedule exploration,
-            the sanitizer's digest comparison) pass explicit ids so a
-            run's trace is a pure function of its configuration, not of
-            how many agents this process created before.
+
+    The agent's id is the next one in ``platform.worker_ids``.
     """
 
     def __init__(
@@ -71,14 +65,11 @@ class WorkerAgent:
         staging: Optional[StagingManager] = None,
         heartbeat_interval: float = 5.0,
         ready_delay: float = 0.0,
-        worker_id: Optional[int] = None,
     ):
         self.platform = platform
         self.env = platform.env
         self.node = node
-        self.worker_id = (
-            worker_id if worker_id is not None else next(_worker_seq)
-        )
+        self.worker_id = next(platform.worker_ids)
         self.dispatcher_endpoint = dispatcher_endpoint
         self.service = service
         self.slots = slots if slots is not None else node.n_cores

@@ -19,7 +19,12 @@ from ..apps.synthetic import BarrierSleepBarrier
 from ..cluster.batch import BatchScheduler
 from ..cluster.machine import eureka, surveyor
 from ..cluster.platform import Platform
-from ..core.jets import JetsConfig, Simulation, service_config_for
+from ..core.jets import (
+    JetsConfig,
+    Simulation,
+    service_config_for,
+    start_pilots,
+)
 from ..core.tasklist import JobSpec, TaskList
 from ..swift.coasters import CoastersConfig, CoasterService
 from .common import check, print_rows
@@ -141,7 +146,6 @@ def run_grouping(nodes: int = 64, jobs: int = 48, seed: int = 0) -> list[dict]:
     order scatters across the torus.
     """
     from ..core.dispatcher import JetsDispatcher
-    from ..core.worker import WorkerAgent
     from ..cluster.platform import Platform as _Platform
 
     rows = []
@@ -150,12 +154,7 @@ def run_grouping(nodes: int = 64, jobs: int = 48, seed: int = 0) -> list[dict]:
         platform = _Platform(machine, seed=seed)
         svc = service_config_for(machine, grouping=grouping)
         dispatcher = JetsDispatcher(platform, svc, expected_workers=nodes)
-        dispatcher.start()
-        for node in platform.nodes:
-            WorkerAgent(
-                platform, node, dispatcher.endpoint,
-                heartbeat_interval=svc.heartbeat_interval,
-            ).start()
+        start_pilots(dispatcher, platform.nodes)
         dur_rng = np.random.default_rng(seed)
         durations = dur_rng.uniform(1.0, 6.0, size=jobs)
         arrivals = dur_rng.uniform(0.4, 1.2, size=jobs)

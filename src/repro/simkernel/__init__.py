@@ -19,6 +19,7 @@ from .core import (
     SeededOrder,
     SimulationError,
     Timeout,
+    derive_seed,
 )
 from .monitor import (
     Counter,
@@ -65,4 +66,5 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "TraceSink",
+    "derive_seed",
 ]

@@ -44,6 +44,7 @@ __all__ = [
     "Interrupt",
     "SchedulingOrder",
     "SeededOrder",
+    "derive_seed",
     "SimulationError",
     "PENDING",
     "URGENT",
@@ -562,6 +563,17 @@ class SeededOrder(SchedulingOrder):
         if self._state is None:
             return 0
         return (self._next() * n) >> 64
+
+
+def derive_seed(base: int, index: int) -> int:
+    """Seed of run ``index`` in a seeded family based at ``base``.
+
+    Run 0 of base 0 gets seed 0, the FIFO baseline of
+    :class:`SeededOrder`; every other run gets a well-separated stream.
+    """
+    if index == 0 and base == 0:
+        return 0
+    return (base * 1_000_003 + index) & ((1 << 63) - 1) or 1
 
 
 class Environment:

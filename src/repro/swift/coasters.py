@@ -25,6 +25,7 @@ from typing import Generator, Optional
 from ..cluster.batch import Allocation, BatchScheduler
 from ..cluster.platform import Platform
 from ..core.dispatcher import JetsDispatcher, JetsServiceConfig
+from ..core.jets import start_pilots
 from ..core.staging import StagingManager
 from ..core.tasklist import JobSpec
 from ..core.worker import WorkerAgent
@@ -155,15 +156,11 @@ class CoasterService:
         self.allocations.append(alloc)
         self.platform.trace.log("coasters.block_ready", {"size": size})
         self.platform.metrics.counter("coasters.blocks").incr()
-        for node in alloc.nodes:
-            agent = WorkerAgent(
-                self.platform,
-                node,
-                dispatcher_endpoint=self.dispatcher.endpoint,
-                service="coasters",
+        self.workers.extend(
+            start_pilots(
+                self.dispatcher,
+                alloc.nodes,
                 slots=self.config.worker_slots,
                 staging=staging,
-                heartbeat_interval=self.config.service.heartbeat_interval,
             )
-            self.workers.append(agent)
-            agent.start()
+        )

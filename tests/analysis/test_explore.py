@@ -87,6 +87,31 @@ class TestRunSchedule:
             b.problems,
         )
 
+    def test_outcome_digests_pinned(self):
+        """Schedules 0-7 (odd ones kill a worker) keep the outcomes they
+        had before explore became a chaos smoke run with a scheduled
+        ``worker_kill`` clause (captured on that code)."""
+        pinned = [
+            (None, None, 76, "91c65f5ed1006a5bf78768a6e565d6f6877e99ef80e9116db95b66dc91a1d8f6"),
+            (3, 0.059135, 91, "cd2855a3f9d3f634703817db3f87593d6e57ae0fdb0c8a7ddf9f7aa562cd52b1"),
+            (None, None, 76, "e9f29ed4f15bef05ee08ad28f460cfda31d13831f31c266512ac972af623d541"),
+            (3, 0.186795, 91, "16a570628fe8e67adac27d92d30712aa540382b22cc36dd9302767de9d8c6816"),
+            (None, None, 76, "43152e5473883ce6b9e24d509985ea1a644bdaaa6a26d01dbb8d1332d4e68710"),
+            (0, 0.401091, 73, "dd5801aecb3b81d88213a2e1cdeb09fe810d06d0b685fffb647fbfdc63121efd"),
+            (None, None, 76, "6f3d9968b672a5ccc3a7f5f8f505141c252af10acc844a5c4b3269fcde578fbc"),
+            (2, 0.135483, 91, "84721d5988f2ef6e370c293e2e2abe9f773b13ac10df4d78a99a61d228824c50"),
+        ]
+        config = ExploreConfig()
+        for index, (victim, kill_time, wire, digest) in enumerate(pinned):
+            r = run_schedule(config, index)
+            assert r.ok, (index, r.problems)
+            assert r.killed_worker == victim
+            if kill_time is None:
+                assert r.kill_time is None
+            else:
+                assert round(r.kill_time, 6) == kill_time
+            assert (r.wire_count, r.digest) == (wire, digest), index
+
     def test_campaign_report(self):
         report = explore(ExploreConfig(schedules=4))
         assert len(report.results) == 4

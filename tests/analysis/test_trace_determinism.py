@@ -15,7 +15,6 @@ import json
 import pytest
 
 import repro.core.tasklist as tasklist
-import repro.core.worker as worker
 from repro.experiments import fig06_sequential
 from repro.obs import session as obs_session
 
@@ -48,11 +47,11 @@ def _record_sha(path) -> str:
 def _reset_id_counters():
     """Fresh module-global id streams, as in a new interpreter.
 
-    Worker and job ids come from ``itertools.count()`` module globals, so
-    a second run in one process would otherwise start numbering where the
-    first stopped and trivially differ.
+    Job ids come from an ``itertools.count()`` module global, so a second
+    run in one process would otherwise start numbering where the first
+    stopped and trivially differ.  Worker ids restart with every
+    platform.
     """
-    worker._worker_seq = itertools.count()
     tasklist._spec_seq = itertools.count()
 
 

@@ -186,11 +186,39 @@ class TestBenchCliProfile:
         doc = json.loads(path.read_text())
         assert set(doc["workloads"]) == {"a", "b"}
         assert "repro.simkernel.core:Environment.run" in doc["hot"]
-        # The timed results file carries no profiling contamination:
-        # it is written before the profile pass and holds only timing.
-        timed = json.loads((tmp_path / "BENCH_kernel.json").read_text())
-        assert "workloads" not in timed
-        assert set(timed["results"]) == {"a", "b"}
+        # Profile-only: no timed pass runs, so no results file is
+        # written over a committed baseline.
+        assert not (tmp_path / "BENCH_kernel.json").exists()
+
+    def test_profile_leaves_existing_results_alone(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.bench.cli as cli
+        import repro.bench.harness as harness
+
+        fake = {"kernel": [sim_workload("a", steps=20)]}
+        monkeypatch.setattr(harness, "SUITES", fake)
+        monkeypatch.setattr(cli, "SUITES", fake)
+        baseline = tmp_path / "BENCH_kernel.json"
+        baseline.write_text("committed\n")
+        assert cli.bench_main([
+            "--suite", "kernel", "--out-dir", str(tmp_path), "--profile",
+        ]) == 0
+        assert baseline.read_text() == "committed\n"
+        assert (tmp_path / "BENCH_profile.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--against", "BENCH_kernel.json"], ["--rss-budget-mb", "9"]]
+    )
+    def test_profile_refuses_gates(self, tmp_path, capsys, extra):
+        import repro.bench.cli as cli
+
+        assert cli.bench_main([
+            "--suite", "kernel", "--out-dir", str(tmp_path), "--profile",
+            *extra,
+        ]) == 2
+        assert "--profile" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_no_profile_flag_writes_nothing(self, tmp_path, monkeypatch):
         import repro.bench.cli as cli

@@ -1,11 +1,7 @@
 """Tests for the composable chaos engine and seeded campaigns."""
 
-import itertools
-
 import pytest
 
-import repro.core.tasklist as tasklist
-import repro.core.worker as worker
 from repro.cluster.machine import generic_cluster
 from repro.cluster.platform import Platform
 from repro.core.chaos import (
@@ -19,12 +15,6 @@ from repro.core.chaos import (
     plan_for_index,
     run_chaos_plan,
 )
-
-
-def _reset_id_counters():
-    """Fresh module-global id streams, as in a new interpreter."""
-    worker._worker_seq = itertools.count()
-    tasklist._spec_seq = itertools.count()
 
 
 class _FakeAgent:
@@ -214,7 +204,6 @@ class TestEngineEffects:
 
 class TestChaosPlans:
     def test_small_campaign_all_plans_pass(self):
-        _reset_id_counters()
         config = ChaosConfig(
             plans=4, serial_tasks=6, mpi_tasks=2, until=240.0
         )
@@ -229,10 +218,11 @@ class TestChaosPlans:
             )
 
     def test_plan_replay_is_deterministic(self):
+        # No id-counter resets, and another plan runs in between: a plan
+        # is a pure function of (config, index), whatever else ran.
         config = ChaosConfig(serial_tasks=6, mpi_tasks=1, until=240.0)
 
         def once():
-            _reset_id_counters()
             r = run_chaos_plan(config, 3)
             assert r.ok, r.problems
             return (
@@ -242,9 +232,39 @@ class TestChaosPlans:
                 r.jobs_ok,
                 r.jobs_failed,
                 r.wire_count,
+                r.digest,
             )
 
-        assert once() == once()
+        first = once()
+        run_chaos_plan(config, 6)
+        assert once() == first
+
+    def test_plan_fields_pinned(self):
+        """Two default-size plans keep the fields they had before chaos
+        and explore shared one smoke run (captured on that code)."""
+        config = ChaosConfig()
+        pinned = {
+            0: (
+                {"worker_kill": 1, "straggler": 3, "net_drop": 1},
+                1, True, 148, 15, 0, 15,
+            ),
+            6: (
+                {
+                    "worker_kill": 20, "proxy_kill": 3, "straggler": 20,
+                    "staging": 12,
+                },
+                29, True, 448, 14, 1, 15,
+            ),
+        }
+        for index, expected in pinned.items():
+            r = run_chaos_plan(config, index)
+            assert r.seed == index
+            assert r.problems == []
+            injected = {k: v for k, v in r.injected.items() if v}
+            assert (
+                injected, r.respawns, r.drained, r.wire_count,
+                r.jobs_ok, r.jobs_failed, r.jobs_submitted,
+            ) == expected
 
 
 class TestDispatcherCrash:

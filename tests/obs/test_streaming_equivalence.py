@@ -15,7 +15,6 @@ import itertools
 import json
 
 import repro.core.tasklist as tasklist
-import repro.core.worker as worker
 from repro.core.chaos import ChaosConfig, run_chaos_plan
 from repro.experiments import fig06_sequential
 from repro.obs import session as obs_session
@@ -23,7 +22,6 @@ from repro.obs import session as obs_session
 
 def _reset_id_counters():
     """Fresh module-global id streams, as in a new interpreter."""
-    worker._worker_seq = itertools.count()
     tasklist._spec_seq = itertools.count()
 
 
