@@ -11,7 +11,8 @@ Run:  python examples/fault_tolerance.py
 
 from repro import Simulation, TaskList
 from repro.cluster.machine import generic_cluster
-from repro.core.jets import FaultSpec, JetsConfig
+from repro.core.chaos import pilot_kill_plan
+from repro.core.jets import JetsConfig
 from repro.metrics.timeline import available_workers_series
 
 WORKERS = 12
@@ -25,7 +26,7 @@ def main() -> None:
     tasks = TaskList.from_lines(["MPI: 2 mpi-bench 1.0"] * 800)
     report = sim.run_standalone(
         tasks,
-        faults=FaultSpec(interval=FAULT_INTERVAL),
+        faults=pilot_kill_plan(FAULT_INTERVAL),
         until=FAULT_INTERVAL * (WORKERS + 4),
     )
 

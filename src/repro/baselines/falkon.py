@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 
 from ..cluster.machine import MachineSpec
 from ..core.jets import (
-    FaultSpec,
     JetsConfig,
     Simulation,
     StandaloneReport,
@@ -49,7 +48,6 @@ class FalkonSimulation:
         self,
         jobs: Iterable[JobSpec],
         allocation_nodes: Optional[int] = None,
-        faults: Optional[FaultSpec] = None,
     ) -> StandaloneReport:
         """Run a batch of strictly serial tasks.
 
@@ -66,5 +64,4 @@ class FalkonSimulation:
         return self._sim.run_standalone(
             TaskList(job_list),
             allocation_nodes=allocation_nodes,
-            faults=faults,
         )

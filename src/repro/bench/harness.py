@@ -432,7 +432,9 @@ def profile_workload(
     ``events``) or its self time reaches :data:`HOT_SELF_SHARE` of the
     profile's total.  Module-level code (a class-body lambda, a
     top-level comprehension) folds into ``<module>``, which holds no
-    def for a lint to escalate, so it never enters either.
+    def for a lint to escalate, so it never enters either.  A
+    ``<genexpr>`` frame adds its self time to its enclosing def but not
+    its calls: cProfile counts every resume of a generator as a call.
     """
     import cProfile
     import gc
@@ -461,7 +463,8 @@ def profile_workload(
         fid = function_id(filename, lineno, funcname)
         if fid.endswith(":<module>"):
             continue
-        calls[fid] = calls.get(fid, 0) + row[1]
+        resumes = funcname == "<genexpr>"
+        calls[fid] = calls.get(fid, 0) + (0 if resumes else row[1])
         self_s[fid] = self_s.get(fid, 0.0) + row[2]
     floor = HOT_SELF_SHARE * stats.total_tt  # type: ignore[attr-defined]
     hot = {

@@ -43,9 +43,11 @@ class Platform:
         self.spec = spec
         self.env = env if env is not None else Environment()
         self.rng = RngRegistry(seed)
-        #: Pilot-id stream: every platform numbers its workers from 0, so
-        #: a run's trace does not depend on what else this process ran.
+        #: Pilot and mpiexec id streams: every platform numbers its
+        #: workers and its mpiexec services from 0, so a run's trace does
+        #: not depend on what else this process ran.
         self.worker_ids = itertools.count()
+        self.mpiexec_ids = itertools.count()
         # The ambient session may supply a streaming (windowed/spilling)
         # sink; absent one — or outside any session — the default stays
         # the fully-indexed in-RAM Trace.

@@ -6,8 +6,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".aggregator": ("Aggregator", "WorkerView"),
     ".chaos": ("ChaosConfig", "ChaosEngine", "FaultClause", "FaultPlan"),
     ".dispatcher": ("CompletedJob", "JetsDispatcher", "JetsServiceConfig"),
-    ".faults": ("ARRIVAL_MODES", "FaultInjector"),
-    ".jets": ("FaultSpec", "JetsConfig", "Simulation", "StandaloneReport"),
+    ".jets": ("JetsConfig", "Simulation", "StandaloneReport"),
     ".policies": (
         "BackfillPolicy", "FifoPolicy", "PriorityPolicy", "QueuePolicy",
         "make_policy",

@@ -1,11 +1,12 @@
 """Composable fault-injection engine and seeded chaos campaigns.
 
 The paper's resilience experiment (Section 6.1.5, Fig. 10) injects exactly
-one fault kind — kill a random pilot at a regular cadence.  Real
-many-task deployments fail in more ways than that: proxies die mid
-PMI-wire-up, links stall or drop messages, nodes straggle, shared-FS
-staging reads error out.  This module generalizes the Fig. 10 script into
-a *declarative* engine:
+one fault kind — kill a random pilot at a regular cadence — and runs here
+as a one-clause plan (:func:`pilot_kill_plan`).  Real many-task
+deployments fail in more ways than that: proxies die mid PMI-wire-up,
+links stall or drop messages, nodes straggle, shared-FS staging reads
+error out.  This module generalizes the Fig. 10 script into a
+*declarative* engine, the only fault injector in the repository:
 
 * :class:`FaultClause` — one seeded fault source: a kind (worker crash,
   proxy crash, straggler slowdown, message drop, message delay, network
@@ -33,6 +34,7 @@ satisfy the protocol session machines, and job accounting must balance
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence
@@ -46,6 +48,7 @@ __all__ = [
     "PLAN_KINDS",
     "FaultClause",
     "FaultPlan",
+    "pilot_kill_plan",
     "ChaosEngine",
     "ChaosConfig",
     "PlanResult",
@@ -107,6 +110,9 @@ class FaultClause:
             active.
         delay: extra transfer latency per message while a delay effect
             is active.
+        stream: name of the platform rng stream the clause draws its
+            waits and victims from; None (the default) names it
+            ``chaos.c<i>`` after the clause's position ``i`` in its plan.
     """
 
     kind: str
@@ -122,8 +128,18 @@ class FaultClause:
     factor: float = 4.0
     probability: float = 1.0
     delay: float = 0.5
+    stream: Optional[str] = None
 
     def __post_init__(self) -> None:
+        finite = (
+            self.interval, self.jitter, self.start_after, self.duration,
+            *self.times,
+        )
+        if not all(math.isfinite(v) for v in finite):
+            raise ValueError(
+                "interval, jitter, start_after, duration and times "
+                "must be finite"
+            )
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.mode not in CLAUSE_MODES:
@@ -159,36 +175,57 @@ class FaultPlan:
         return tuple(seen)
 
 
+def pilot_kill_plan(
+    interval: float = 10.0, mode: str = "fixed", jitter: float = 0.0
+) -> FaultPlan:
+    """The paper's fault script (Section 6.1.5): kill one random live
+    pilot per ``interval`` until none remain.
+
+    Its one clause draws from the ``faults`` rng stream, so Fig. 10 and
+    ``jets --faults`` runs keep the victims they have always drawn.
+    """
+    clause = FaultClause(
+        kind="worker_kill",
+        mode=mode,
+        interval=interval,
+        jitter=jitter,
+        stream="faults",
+    )
+    return FaultPlan((clause,), name=f"pilot-kill-{mode}")
+
+
 class ChaosEngine:
     """Executes one :class:`FaultPlan` against a live JETS run.
 
+    Each clause draws from its own seeded rng stream (see
+    :attr:`FaultClause.stream`) and per-message drop draws from
+    ``chaos.net``, so a plan replays deterministically for a given
+    platform seed.  Every injected fault also counts on the
+    ``faults.injected`` instrument.
+
     Args:
         platform: the machine under test.
-        agents_fn: zero-arg callable returning the *current* pilot agents
-            (pass the keeper's ``live_agents`` so respawned pilots are
-            targetable too).
+        agents: the pilot fleet as started; the list is read live, so
+            a caller may fill it after building the engine.
         staging: staging manager whose per-node failure set the
             ``staging`` fault kind toggles.
-        rng_prefix: namespace for the engine's seeded rng streams — one
-            per clause plus one for per-message drop draws, so plans
-            replay deterministically for a given platform seed.
+        keeper: the :class:`~repro.core.recovery.PilotKeeper` that
+            respawns killed pilots, if any; its live agents are the
+            targets then.  Without one the fleet only shrinks, and a
+            ``worker_kill`` clause retires once it finds no live pilot
+            in scope, as the paper's script stops once none remain.
     """
 
-    def __init__(
-        self,
-        platform,
-        agents_fn: Callable[[], list],
-        staging=None,
-        rng_prefix: str = "chaos",
-    ):
+    def __init__(self, platform, agents: Sequence, staging=None, keeper=None):
         self.platform = platform
         self.env = platform.env
-        self.agents_fn = agents_fn
+        self.agents = agents
         self.staging = staging
-        self.rng_prefix = rng_prefix
+        self.keeper = keeper
         self.active = False
         #: kind -> number of faults actually injected.
         self.injected: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+        self._counter = platform.metrics.counter("faults.injected")
         #: Fires when a ``dispatcher_crash`` clause kills the run; the
         #: harness races it against ``dispatcher.drained`` and abandons
         #: the journal when it wins.
@@ -205,10 +242,10 @@ class ChaosEngine:
         if self.active:
             raise RuntimeError("chaos engine already started")
         self.active = True
-        self._net_rng = self.platform.rng.stream(f"{self.rng_prefix}.net")
+        self._net_rng = self.platform.rng.stream("chaos.net")
         self._remover = self.platform.network.add_impairment(self._impair)
         for i, clause in enumerate(plan.clauses):
-            rng = self.platform.rng.stream(f"{self.rng_prefix}.c{i}")
+            rng = self.platform.rng.stream(clause.stream or f"chaos.c{i}")
             self.env.process(
                 self._clause_proc(clause, rng), name=f"chaos-c{i}"
             )
@@ -285,7 +322,7 @@ class ChaosEngine:
             return
         while self.active:
             yield env.timeout(self._next_wait(clause, rng))
-            if env.now > hi:
+            if env.now > hi or self._spent(clause):
                 return
             if not self.active or env.now < lo:
                 continue
@@ -293,8 +330,19 @@ class ChaosEngine:
 
     # -- fault effectors ------------------------------------------------------
 
+    def _spent(self, clause: FaultClause) -> bool:
+        """A kill clause on a fleet that cannot regrow has run out."""
+        return (
+            clause.kind == "worker_kill"
+            and self.keeper is None
+            and not self._scoped_agents(clause)
+        )
+
     def _scoped_agents(self, clause: FaultClause) -> list:
-        agents = [a for a in self.agents_fn() if a.alive]
+        if self.keeper is not None:
+            agents = self.keeper.live_agents()
+        else:
+            agents = [a for a in self.agents if a.alive]
         if clause.nodes is not None:
             agents = [a for a in agents if a.node.node_id in clause.nodes]
         return agents
@@ -307,6 +355,7 @@ class ChaosEngine:
 
     def _count(self, kind: str) -> None:
         self.injected[kind] += 1
+        self._counter.incr()
 
     def _fire_worker_kill(self, clause: FaultClause, rng) -> None:
         living = self._scoped_agents(clause)
@@ -674,11 +723,7 @@ def smoke_run(
     )
     if keeper is not None:
         keeper.start()
-    engine = ChaosEngine(
-        platform,
-        keeper.live_agents if keeper is not None else lambda: agents,
-        staging=stager,
-    )
+    engine = ChaosEngine(platform, agents, staging=stager, keeper=keeper)
     engine.start(plan)
 
     # Explicit job ids: the default ids draw from a process-wide counter,

@@ -72,7 +72,7 @@ from ..obs.export import iter_jsonl
 from ..obs.report import render_report
 from ..obs.spans import SpanBuilder
 from ..obs.session import session as obs_scope, unwritable_reason
-from .jets import FaultSpec, JetsConfig, Simulation, service_config_for
+from .jets import JetsConfig, Simulation, service_config_for
 from .tasklist import TaskList, TaskListError
 
 __all__ = ["main", "build_parser", "build_report_parser", "report_main"]
@@ -316,15 +316,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stage_binaries=not args.no_staging,
     )
     sim = Simulation(machine, config, seed=args.seed)
-    faults = (
-        FaultSpec(
-            interval=args.faults,
-            mode=args.fault_mode,
-            jitter=args.fault_jitter,
-        )
-        if args.faults
-        else None
-    )
+    faults = None
+    if args.faults is not None:
+        from .chaos import pilot_kill_plan
+
+        try:
+            faults = pilot_kill_plan(
+                args.faults, args.fault_mode, args.fault_jitter
+            )
+        except ValueError as exc:
+            print(f"jets: bad fault spec: {exc}", file=sys.stderr)
+            return 2
     journal = None
     if args.journal is not None:
         from .journal import RunJournal

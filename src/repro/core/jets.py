@@ -15,7 +15,7 @@ wind it down through :func:`drain`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable, Optional, Sequence
 
 from ..cluster.batch import BatchScheduler
 from ..cluster.machine import MachineSpec
@@ -25,15 +25,16 @@ from ..mpi.hydra import PROXY_IMAGE
 from ..oslayer.process import ExecutableImage
 from ..simkernel import Environment, Event
 from .dispatcher import CompletedJob, JetsDispatcher, JetsServiceConfig
-from .faults import FaultInjector
 from .staging import StagingManager
 from .tasklist import TaskList
 from .worker import WorkerAgent
 from ..metrics.utilization import UtilizationLedger
 
+if TYPE_CHECKING:
+    from .chaos import FaultPlan
+
 __all__ = [
     "JetsConfig",
-    "FaultSpec",
     "StandaloneReport",
     "Simulation",
     "service_config_for",
@@ -145,22 +146,6 @@ def drain(
     return DrainResult(drained, at, *tally(dispatcher))
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Fault-injection settings for a run (Section 6.1.5).
-
-    ``mode`` picks the inter-arrival law (``fixed`` — the paper's regular
-    cadence, ``exponential``, ``jittered``); ``jitter`` is the half-width
-    of the jittered mode's uniform window.  The default ``fixed`` mode
-    draws nothing extra from the rng, keeping legacy traces byte-stable.
-    """
-
-    interval: float = 10.0
-    start_after: float = 0.0
-    mode: str = "fixed"
-    jitter: float = 0.0
-
-
 @dataclass(frozen=True, slots=True)
 class JetsConfig:
     """End-to-end configuration of a stand-alone JETS run.
@@ -231,7 +216,7 @@ class Simulation:
         self,
         tasks: TaskList,
         allocation_nodes: Optional[int] = None,
-        faults: Optional[FaultSpec] = None,
+        faults: Optional[FaultPlan] = None,
         until: Optional[float] = None,
         journal=None,
     ) -> StandaloneReport:
@@ -240,7 +225,10 @@ class Simulation:
         Args:
             tasks: the batch (Section 5.1 input).
             allocation_nodes: allocation size (default: whole machine).
-            faults: optional fault injection (Section 6.1.5).
+            faults: optional fault plan, run by a
+                :class:`~repro.core.chaos.ChaosEngine` once the pilots
+                are up (Section 6.1.5:
+                :func:`~repro.core.chaos.pilot_kill_plan`).
             until: optional cap on simulated time, measured from when the
                 allocation is up (for fault runs that never drain because
                 all workers die).
@@ -272,7 +260,13 @@ class Simulation:
             journal=journal,
         )
         workers: list[WorkerAgent] = []
-        injector_box: list[FaultInjector] = []
+        staging = self._build_staging(platform.env, tasks)
+        engine = None
+        if faults is not None:
+            # Imported here: a fault-free run never loads the engine.
+            from .chaos import ChaosEngine
+
+            engine = ChaosEngine(platform, workers, staging=staging)
         stop = platform.env.event()
 
         def main() -> Generator:
@@ -297,20 +291,11 @@ class Simulation:
                     dispatcher,
                     alloc.nodes,
                     slots=self.config.worker_slots,
-                    staging=self._build_staging(platform.env, tasks),
+                    staging=staging,
                 )
             )
-            if faults is not None:
-                injector = FaultInjector(
-                    platform,
-                    workers,
-                    interval=faults.interval,
-                    start_after=faults.start_after,
-                    mode=faults.mode,
-                    jitter=faults.jitter,
-                )
-                injector.start()
-                injector_box.append(injector)
+            if engine is not None:
+                engine.start(faults)
             dispatcher.submit_many(tasks)
             yield dispatcher.drained
             yield from dispatcher.shutdown_workers()
@@ -329,7 +314,8 @@ class Simulation:
                 failed=failed_n,
             )
             journal.close()
-        return self._report(platform, dispatcher, workers, nodes, injector_box)
+        injected = sum(engine.injected.values()) if engine is not None else 0
+        return self._report(platform, dispatcher, workers, nodes, injected)
 
     # -- internals ---------------------------------------------------------------
 
@@ -357,7 +343,7 @@ class Simulation:
         dispatcher: JetsDispatcher,
         workers: list[WorkerAgent],
         nodes: int,
-        injectors: list[FaultInjector],
+        faults_injected: int,
     ) -> StandaloneReport:
         ledger = UtilizationLedger(nodes)
         wireups: list[float] = []
@@ -401,5 +387,5 @@ class Simulation:
             platform=platform,
             workers=workers,
             ledger=ledger,
-            faults_injected=len(injectors[0].kills) if injectors else 0,
+            faults_injected=faults_injected,
         )

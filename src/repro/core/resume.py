@@ -585,7 +585,7 @@ def _campaign_run(
     workers = start_pilots(dispatcher, platform.nodes)
     engine = None
     if crash_at is not None:
-        engine = ChaosEngine(platform, lambda: workers)
+        engine = ChaosEngine(platform, workers)
         engine.start(
             FaultPlan(
                 clauses=(

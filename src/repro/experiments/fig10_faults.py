@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster.machine import surveyor
-from ..core.jets import FaultSpec, JetsConfig, Simulation, service_config_for
+from ..core.chaos import pilot_kill_plan
+from ..core.jets import JetsConfig, Simulation, service_config_for
 from ..core.tasklist import TaskList
 from ..metrics.timeline import (
     available_workers_series,
@@ -37,15 +38,13 @@ def run(
     task_duration: float = 1.0,
     sample_dt: float = 10.0,
     seed: int = 0,
-    fault_mode: str = "fixed",
-    fault_jitter: float = 0.0,
 ) -> dict:
     """Run the fault experiment; returns series + summary rows.
 
     Workers advertise a single slot (one job per node, as plotted in the
     paper's figure).  The task queue is oversized so work never runs out.
-    ``fault_mode``/``fault_jitter`` select the kill inter-arrival law
-    (the paper's figure uses the regular ``fixed`` cadence).
+    The faults are the paper's script as a one-clause chaos plan, at the
+    regular ``fixed`` cadence.
     """
     machine = surveyor(workers)
     horizon = fault_interval * (workers + 4)
@@ -61,9 +60,7 @@ def run(
     tasks = TaskList.from_lines([f"SERIAL: sleep {task_duration}"] * n_tasks)
     report = sim.run_standalone(
         tasks,
-        faults=FaultSpec(
-            interval=fault_interval, mode=fault_mode, jitter=fault_jitter
-        ),
+        faults=pilot_kill_plan(fault_interval),
         until=horizon,
     )
     trace = report.platform.trace

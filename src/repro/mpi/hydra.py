@@ -30,7 +30,6 @@ interrupted, and ``done`` fires with ``ok=False`` — JETS requeues the job
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
@@ -125,9 +124,6 @@ class JobResult:
         return self.t_app_end - self.t_app_start
 
 
-_job_seq = itertools.count()
-
-
 class MpiexecController:
     """One background ``mpiexec`` driving one MPI job.
 
@@ -166,7 +162,7 @@ class MpiexecController:
         self.endpoint = platform.login_endpoint if endpoint is None else endpoint
         self.fabric = fabric or platform.fabric
         self.world_size = sum(len(r) for _n, r in hosts)
-        self.service = f"mpiexec-{job_id}-{next(_job_seq)}"
+        self.service = f"mpiexec-{job_id}-{next(platform.mpiexec_ids)}"
         self.done: Event = self.env.event()
         self.kvs = PmiKvs(self.env, self.world_size)
         self._queue: Store = Store(self.env)

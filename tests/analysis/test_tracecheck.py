@@ -161,7 +161,7 @@ class TestRealRuns:
         """Killed workers/proxies still leave a legal lifecycle: mpiexec
         closes unreported proxies with a status-143 ``proxy.exited`` and
         resubmitted attempts reincarnate them."""
-        from repro.core.jets import FaultSpec
+        from repro.core.chaos import pilot_kill_plan
 
         jobs = [
             JobSpec(program=BarrierSleepBarrier(2.0), nodes=2, ppn=1),
@@ -169,7 +169,7 @@ class TestRealRuns:
         ]
         sim = Simulation(generic_cluster(nodes=4, cores_per_node=2), seed=3)
         report = sim.run_standalone(
-            TaskList(jobs), faults=FaultSpec(interval=1.5), until=60.0
+            TaskList(jobs), faults=pilot_kill_plan(1.5), until=60.0
         )
         records = list(report.platform.trace.records)
         assert any(r.category == "fault.kill" for r in records)

@@ -116,6 +116,27 @@ class TestProfileWorkload:
         assert calls["repro.simkernel.core:Environment.__init__"] == 1
         assert "repro.simkernel.core:Environment.__init__" not in hot
 
+    def test_genexpr_resumes_are_not_calls(self, tmp_path):
+        # Profiled frames must sit under a ``repro`` directory.
+        path = tmp_path / "repro" / "genexpr_probe.py"
+        path.parent.mkdir()
+        path.write_text(
+            "def once():\n"
+            "    return sum(1 for _ in range(10_000))\n"
+        )
+        spec = importlib.util.spec_from_file_location("genexpr_probe", path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+
+        def fn(quick):
+            assert mod.once() == 10_000
+            return {"events": 1}
+
+        calls, _hot = profile_workload(
+            Workload(name="genexpr", fn=fn, doc="profile fixture")
+        )
+        assert calls == {"repro.genexpr_probe:once": 1}
+
     def test_call_threshold_scales_with_events(self):
         calls, _hot = profile_workload(sim_workload(steps=400))
         timeout = calls["repro.simkernel.core:Environment.timeout"]

@@ -38,7 +38,7 @@ def make_rig(nodes=3):
         _FakeAgent(node, worker_id=i)
         for i, node in enumerate(platform.nodes)
     ]
-    engine = ChaosEngine(platform, lambda: agents)
+    engine = ChaosEngine(platform, agents)
     return platform, agents, engine
 
 
@@ -64,6 +64,17 @@ class TestClauseValidation:
     def test_window_ordering(self):
         with pytest.raises(ValueError):
             FaultClause(kind="worker_kill", window=(5.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "field", ["interval", "jitter", "start_after", "duration", "times"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"kind": "worker_kill", "mode": "jittered", field: value}
+        if field == "times":
+            kwargs.update(mode="scheduled", times=(1.0, value))
+        with pytest.raises(ValueError, match="finite"):
+            FaultClause(**kwargs)
 
     def test_plan_kinds_deduplicated_in_order(self):
         plan = FaultPlan(
@@ -139,6 +150,56 @@ class TestEngineEffects:
         env.run(env.timeout(2.0))
         assert platform.nodes[0].slowdown == 1.0
         assert platform.trace.select("fault.heal")
+        engine.stop()
+
+    def test_clause_streams_named_by_position_unless_given(self):
+        platform, agents, engine = make_rig(nodes=2)
+        engine.start(
+            FaultPlan(
+                (
+                    FaultClause(kind="straggler"),
+                    FaultClause(kind="worker_kill", stream="faults"),
+                )
+            )
+        )
+        assert {"chaos.net", "chaos.c0", "faults"} <= set(
+            platform.rng._streams
+        )
+        assert "chaos.c1" not in platform.rng._streams
+        engine.stop()
+
+    def test_kill_clause_retires_once_fleet_is_gone(self):
+        platform, agents, engine = make_rig(nodes=2)
+        clause = FaultClause(kind="worker_kill", mode="fixed", interval=1.0)
+        engine.start(FaultPlan((clause,)))
+        env = platform.env
+        env.run(env.timeout(2.5))
+        assert not any(a.alive for a in agents)
+        env.run(env.timeout(10.0))
+        # The clause woke once more at t=3, found no pilot and returned.
+        assert env.peek() == float("inf")
+        assert engine.injected["worker_kill"] == 2
+
+    def test_kill_clause_outlives_empty_fleet_under_keeper(self):
+        platform, agents, _ = make_rig(nodes=2)
+
+        class Keeper:  # respawns nothing until told to
+            spare = []
+
+            def live_agents(self):
+                return [a for a in agents + self.spare if a.alive]
+
+        keeper = Keeper()
+        engine = ChaosEngine(platform, agents, keeper=keeper)
+        clause = FaultClause(kind="worker_kill", mode="fixed", interval=1.0)
+        engine.start(FaultPlan((clause,)))
+        env = platform.env
+        env.run(env.timeout(4.5))
+        assert engine.injected["worker_kill"] == 2
+        keeper.spare.append(_FakeAgent(platform.nodes[0], worker_id=9))
+        env.run(env.timeout(1.0))
+        assert engine.injected["worker_kill"] == 3
+        assert not keeper.spare[0].alive
         engine.stop()
 
     def test_clause_retires_past_window(self):

@@ -37,6 +37,26 @@ class TestCli:
         assert code == 2
         assert "bad task list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--faults", "nan"],
+            ["--faults", "inf"],
+            ["--faults", "-1"],
+            ["--faults", "0"],
+            ["--faults", "2", "--fault-mode", "jittered",
+             "--fault-jitter", "nan"],
+            ["--faults", "2", "--fault-mode", "jittered",
+             "--fault-jitter", "2"],
+        ],
+    )
+    def test_bad_fault_spec(self, taskfile, capsys, flags):
+        code = main([taskfile, "--until", "5"] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jets: bad fault spec: ")
+        assert err.count("\n") == 1
+
     def test_failed_job_exit_code(self, tmp_path, capsys):
         too_big = tmp_path / "big.txt"
         too_big.write_text("MPI: 64 mpi-bench 1.0\n")

@@ -8,7 +8,7 @@ from repro.cluster.platform import Platform
 from repro.core.dispatcher import JetsDispatcher, JetsServiceConfig
 from repro.core.tasklist import JobSpec, TaskList
 from repro.core.worker import WorkerAgent
-from repro.core.jets import FaultSpec, JetsConfig, Simulation
+from repro.core.jets import JetsConfig, Simulation
 
 
 def start_stack(nodes=4, cores=4, slots=None, config=None):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.jets import FaultSpec, JetsConfig, Simulation
+from repro.core.chaos import pilot_kill_plan
+from repro.core.jets import JetsConfig, Simulation
 from repro.core.tasklist import TaskList
 from repro.cluster.machine import generic_cluster
 from repro.metrics.timeline import (
@@ -53,7 +54,7 @@ def trace(request):
     tasks = TaskList.from_text(
         "\n".join(["MPI: 2 mpi-bench 0.5"] * 4 + ["SERIAL: sleep 0.3"] * 2)
     )
-    faults = FaultSpec(interval=2.0) if request.param == "faulty" else None
+    faults = pilot_kill_plan(2.0) if request.param == "faulty" else None
     report = Simulation(machine, JetsConfig(), seed=3).run_standalone(
         tasks, faults=faults, until=600.0
     )

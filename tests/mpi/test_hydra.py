@@ -234,3 +234,37 @@ class TestFailures:
         assert "operator abort" in proc.value.error
         platform.env.run()
         assert all(n.busy_cores == 0 for n in platform.nodes)
+
+
+class TestPerRunIds:
+    def test_same_seed_mpi_runs_repeat_in_one_process(self):
+        """mpiexec service ids restart with every platform: two same-seed
+        MPI runs in one process, with no counter resets, use the same
+        service names and trace the same bytes."""
+        from repro.core.chaos import ChaosConfig, FaultPlan, smoke_run
+        from repro.simkernel.monitor import record_line
+
+        config = ChaosConfig(serial_tasks=2, mpi_tasks=3)
+
+        def once():
+            services, lines = [], []
+
+            def attach(_env, platform):
+                platform.network.add_tap(lambda ev: services.append(ev.service))
+                platform.trace.subscribe(
+                    lambda rec: lines.append(record_line(rec))
+                )
+
+            result = smoke_run(config, 0, FaultPlan(()), attach=attach)
+            assert result.ok, result.problems
+            mpiexec = sorted(
+                {s for s in services if s.startswith("mpiexec-")}
+            )
+            return mpiexec, "".join(lines)
+
+        first = once()
+        second = once()
+        assert first[0] == [
+            "mpiexec-job2-0", "mpiexec-job3-1", "mpiexec-job4-2",
+        ]
+        assert second == first

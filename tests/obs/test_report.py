@@ -141,7 +141,7 @@ class TestCliObservability:
 
 class TestFaultBreakdowns:
     def _faulty_trace(self):
-        from repro.core.jets import FaultSpec
+        from repro.core.chaos import pilot_kill_plan
 
         sim = Simulation(
             generic_cluster(nodes=6, cores_per_node=1),
@@ -149,7 +149,7 @@ class TestFaultBreakdowns:
         )
         tasks = TaskList.from_text("SERIAL: sleep 1.0\n" * 40)
         report = sim.run_standalone(
-            tasks, faults=FaultSpec(interval=3.0), until=60.0
+            tasks, faults=pilot_kill_plan(3.0), until=60.0
         )
         return report.platform.trace
 

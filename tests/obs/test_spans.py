@@ -176,7 +176,7 @@ class TestResubmission:
         )
         outcomes = [w.outcome for w in spans.worker_list()]
         assert outcomes.count("lost") == 1
-        assert spans.faults == []  # kill came from the test, not FaultInjector
+        assert spans.faults == []  # kill came from the test, not a fault plan
 
 
 class TestWorkerSpans:
